@@ -866,11 +866,6 @@ impl RepairEngine {
         &self.keys
     }
 
-    /// A shareable handle to the key set.
-    pub fn keys_arc(&self) -> Arc<KeySet> {
-        Arc::clone(&self.keys)
-    }
-
     /// The block partition `B₁, …, Bₙ`, maintained incrementally.
     pub fn blocks(&self) -> &BlockPartition {
         &self.blocks

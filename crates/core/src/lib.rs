@@ -46,8 +46,6 @@ pub mod approx;
 pub mod exact;
 /// The replicated command log: framed records, snapshot files, replay.
 pub mod replog;
-/// The sharded scatter–gather engine.
-pub mod sharded;
 /// The text wire format serving front ends parse into [`EngineCommand`]s.
 pub mod wire;
 
@@ -69,6 +67,5 @@ pub use exact::{
 };
 pub use frequency::{relative_frequency, relative_frequency_with};
 pub use replog::{LogOp, LogRecord, LogWriter, ReplogError};
-pub use sharded::{ShardGauges, ShardedApplied, ShardedEngine};
 pub use wire::frame::{decode_bulk, encode_bulk, FrameError, BULK_VERSION};
 pub use wire::{parse_count_request, parse_engine_command, parse_mutation, WireError};

@@ -40,39 +40,6 @@ impl KeyValue {
     pub fn key(&self) -> &[Value] {
         &self.key
     }
-
-    /// A stable 64-bit routing hash of the key value (FNV-1a).
-    ///
-    /// Shard routing must be a pure function of the *data*, so the hash
-    /// covers the relation index and the resolved content of each key
-    /// constant — the integer payload or the string bytes — never interned
-    /// [`Symbol`](crate::Symbol) ids, which depend on process-local
-    /// interning order.  Each constant is tagged by kind and strings are
-    /// terminated, so distinct key tuples cannot collide by concatenation.
-    pub fn route_hash(&self) -> u64 {
-        fn eat(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
-        eat(&mut h, &(self.relation.index() as u64).to_le_bytes());
-        for value in self.key.iter() {
-            match value {
-                Value::Int(payload) => {
-                    eat(&mut h, &[0x00]);
-                    eat(&mut h, &payload.to_le_bytes());
-                }
-                Value::Text(symbol) => {
-                    eat(&mut h, &[0x01]);
-                    eat(&mut h, symbol.as_str().as_bytes());
-                    eat(&mut h, &[0xff]);
-                }
-            }
-        }
-        h
-    }
 }
 
 impl fmt::Display for KeyValue {

@@ -192,12 +192,6 @@ impl Database {
         self.fact_id_capacity
     }
 
-    /// An empty database over the same schema and fact-id capacity: the
-    /// seed for a keyed sub-database (a shard's slice) of this one.
-    pub fn empty_like(&self) -> Database {
-        Database::new(self.schema.clone()).with_fact_id_capacity(self.fact_id_capacity)
-    }
-
     /// How many fact ids have been assigned so far (live facts plus
     /// tombstones): the portion of the id space already consumed.
     pub fn fact_ids_assigned(&self) -> u32 {

@@ -1,19 +1,16 @@
-//! The serving backend: one engine behind a lock, or a sharded router.
+//! The serving backend: one engine, with an optional replication sidecar.
 //!
 //! [`Backend`] is the seam the session state machine talks through.  The
-//! classic deployment keeps the whole [`RepairEngine`] behind one
-//! `RwLock` — queries share read guards, mutations take the write
-//! barrier.  With `--shards N` the backend is a
-//! [`ShardedEngine`]: mutations route to the single hash-owned shard and
-//! contend only on that shard's lock (plus a short global id-assignment
-//! commit), while queries run on the lazily merged gathered view, which
-//! is bit-for-bit the unsharded engine fed the same mutation sequence —
-//! so replies, including `gen=`/`cached=` provenance and seeded
-//! estimates, stay byte-identical either way.
+//! whole [`RepairEngine`] sits behind one `RwLock` — queries share read
+//! guards, mutations take the write barrier.  A replicated backend keeps
+//! the same engine and lock, and adds the command log a primary appends
+//! to before it applies (or the tail a follower replays), so replies,
+//! including `gen=`/`cached=` provenance and seeded estimates, stay
+//! byte-identical either way.
 
 use std::sync::{Arc, RwLock};
 
-use cdr_core::{CountError, CountReport, CountRequest, RepairEngine, ShardedEngine};
+use cdr_core::{CountError, CountReport, CountRequest, RepairEngine};
 use cdr_num::BigNat;
 use cdr_repairdb::{Database, Mutation};
 
@@ -35,8 +32,6 @@ fn wlock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 pub enum Backend {
     /// The whole engine behind one read/write lock.
     Single(RwLock<RepairEngine>),
-    /// N hash-partitioned shards plus the gathered query view.
-    Sharded(ShardedEngine),
     /// One engine plus the replication sidecar (primary or follower).
     Replicated(ReplicatedBackend),
 }
@@ -47,22 +42,9 @@ impl Backend {
         Backend::Single(RwLock::new(engine))
     }
 
-    /// Wraps a sharded engine.
-    pub fn sharded(engine: ShardedEngine) -> Backend {
-        Backend::Sharded(engine)
-    }
-
     /// Wraps a replicated backend (primary or follower).
     pub fn replicated(backend: ReplicatedBackend) -> Backend {
         Backend::Replicated(backend)
-    }
-
-    /// Shard count: 1 for the single and replicated backends.
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Backend::Single(_) | Backend::Replicated(_) => 1,
-            Backend::Sharded(engine) => engine.shard_count(),
-        }
     }
 
     /// The replication sidecar, when this backend has one.
@@ -114,17 +96,14 @@ impl Backend {
     pub fn parse_database(&self) -> Arc<Database> {
         match self {
             Backend::Single(lock) => rlock(lock).database_arc(),
-            Backend::Sharded(engine) => engine.parse_database(),
             Backend::Replicated(backend) => backend.parse_database(),
         }
     }
 
-    /// Runs `f` under shared query access — for the sharded backend, over
-    /// the drained gathered view.
+    /// Runs `f` under shared query access.
     pub fn read<R>(&self, f: impl FnOnce(&RepairEngine) -> R) -> R {
         match self {
             Backend::Single(lock) => f(&rlock(lock)),
-            Backend::Sharded(engine) => engine.read(f),
             Backend::Replicated(backend) => backend.read(f),
         }
     }
@@ -140,8 +119,8 @@ impl Backend {
         self.read(|engine| engine.run_batch(requests))
     }
 
-    /// Applies one mutation (routed, for the sharded backend) after
-    /// running the auto-compaction policy, and renders the wire reply.
+    /// Applies one mutation after running the auto-compaction policy, and
+    /// renders the wire reply.
     pub fn mutate(&self, mutation: Mutation, auto_compact: Option<u64>) -> String {
         match self {
             Backend::Single(lock) => {
@@ -150,26 +129,6 @@ impl Backend {
                     engine.maybe_compact(threshold);
                 }
                 apply_single(&mut engine, mutation)
-            }
-            Backend::Sharded(engine) => {
-                if let Some(threshold) = auto_compact {
-                    engine.maybe_compact(threshold);
-                }
-                match mutation {
-                    Mutation::Insert(_) => match engine.apply(mutation) {
-                        Ok(applied) => reply::render_insert(
-                            applied.id,
-                            applied.applied,
-                            &applied.report,
-                            &applied.total,
-                        ),
-                        Err(e) => reply::render_count_error(&e),
-                    },
-                    Mutation::Delete(id) => match engine.apply(Mutation::Delete(id)) {
-                        Ok(applied) => reply::render_delete(id, &applied.report, &applied.total),
-                        Err(e) => reply::render_count_error(&e),
-                    },
-                }
             }
             Backend::Replicated(backend) => backend.mutate(mutation, auto_compact),
         }
@@ -189,15 +148,6 @@ impl Backend {
                     Err(e) => reply::render_count_error(&e),
                 }
             }
-            Backend::Sharded(engine) => {
-                if let Some(threshold) = auto_compact {
-                    engine.maybe_compact(threshold);
-                }
-                match engine.apply_batch(mutations) {
-                    Ok((report, total)) => reply::render_batch_mutation(&report, &total),
-                    Err(e) => reply::render_count_error(&e),
-                }
-            }
             Backend::Replicated(backend) => backend.mutate_batch(mutations, auto_compact),
         }
     }
@@ -213,47 +163,25 @@ impl Backend {
                 let total = engine.total_repairs().clone();
                 Ok((outcome, total))
             }
-            Backend::Sharded(engine) => Ok(engine.compact_with_total()),
             Backend::Replicated(backend) => backend.compact(),
         }
     }
 
-    /// Renders the `STATS` reply: the merged gauges, plus per-shard
-    /// `s<i>=facts/blocks/slots/tombstones` tails on a sharded backend.
+    /// Renders the `STATS` reply.
     pub fn stats(&self) -> String {
         match self {
             Backend::Single(lock) => reply::render_stats(&rlock(lock)),
-            Backend::Sharded(engine) => {
-                // Gauges are snapshotted shard by shard before the
-                // gathered view renders the merged head; no two locks are
-                // ever held together here.
-                let gauges = engine.shard_gauges();
-                let head = engine.read(reply::render_stats);
-                let mut line = format!("{head} | shards={}", gauges.len());
-                for (index, shard) in gauges.iter().enumerate() {
-                    line.push_str(&format!(
-                        " s{index}={}/{}/{}/{}",
-                        shard.facts, shard.blocks, shard.slots, shard.tombstones
-                    ));
-                }
-                line
-            }
             Backend::Replicated(backend) => backend.stats(),
         }
     }
 
-    /// The chaos `PANIC` verb: panics while holding the write-side lock
-    /// (the engine lock, or the sharded gathered-view lock), poisoning it
-    /// for the crash-recovery regression tests.
+    /// The chaos `PANIC` verb: panics while holding the engine's write
+    /// lock, poisoning it for the crash-recovery regression tests.
     pub fn chaos_panic(&self) -> ! {
         match self {
             Backend::Single(lock) => {
                 let _guard = wlock(lock);
                 panic!("chaos: PANIC verb")
-            }
-            Backend::Sharded(engine) => {
-                engine.chaos_panic();
-                unreachable!("chaos_panic always panics")
             }
             Backend::Replicated(backend) => backend.chaos_panic(),
         }

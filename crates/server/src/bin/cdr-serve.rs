@@ -12,7 +12,7 @@
 
 use std::process::exit;
 
-use cdr_core::{RepairEngine, ShardedEngine};
+use cdr_core::RepairEngine;
 use cdr_repairdb::{Database, KeySet, Schema};
 use cdr_server::{FeedMode, ReplicatedBackend, Server, ServerConfig};
 use cdr_workloads::{
@@ -35,9 +35,6 @@ SERVER OPTIONS:
   --auto-compact <waste>  compact before a mutating command once tombstones
                           + retired block slots reach <waste> (or the
                           fact-id space is exhausted); off by default
-  --shards <n>            hash-partition the engine across <n> shards with
-                          scatter-gather queries (default 1 = unsharded;
-                          replies are byte-identical either way)
   --admin-token <tok>     gate SHUTDOWN, PROMOTE, RETARGET and the chaos
                           verbs behind `AUTH <tok>` (default: open,
                           legacy behaviour)
@@ -46,7 +43,7 @@ SERVER OPTIONS:
                           exactly `ERR BUSY RATE LIMITED` (off by default)
   --chaos                 enable the PANIC test verb (never in production)
 
-REPLICATION OPTIONS (both exclude --shards > 1):
+REPLICATION OPTIONS:
   --log-dir <dir>         serve as a replicated primary: append every
                           mutating verb to <dir>/log.bin before applying,
                           snapshot to <dir>/snapshot.bin at every
@@ -89,7 +86,6 @@ fn fail(message: &str) -> ! {
 
 struct Options {
     config: ServerConfig,
-    shards: usize,
     log_dir: Option<String>,
     follow: Option<String>,
     feed: FeedMode,
@@ -111,7 +107,6 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             config: ServerConfig::bind("127.0.0.1:7878"),
-            shards: 1,
             log_dir: None,
             follow: None,
             feed: FeedMode::Auto,
@@ -151,7 +146,6 @@ fn parse_options() -> Options {
             "--max-line-bytes" => options.config.max_line_bytes = parse(&flag, &value("bytes")),
             "--max-batch" => options.config.max_batch_commands = parse(&flag, &value("count")),
             "--auto-compact" => options.config.auto_compact = Some(parse(&flag, &value("waste"))),
-            "--shards" => options.shards = parse(&flag, &value("count")),
             "--admin-token" => options.config.admin_token = Some(value("token")),
             "--rate-limit" => options.config.rate_limit = Some(parse(&flag, &value("count"))),
             "--log-dir" => options.log_dir = Some(value("dir")),
@@ -223,14 +217,8 @@ fn build_data(options: &Options) -> (Database, KeySet) {
 
 fn main() {
     let options = parse_options();
-    if options.shards == 0 {
-        fail("--shards must be at least 1");
-    }
     if options.log_dir.is_some() && options.follow.is_some() {
         fail("--log-dir and --follow are mutually exclusive");
-    }
-    if (options.log_dir.is_some() || options.follow.is_some()) && options.shards > 1 {
-        fail("replication (--log-dir / --follow) requires --shards 1");
     }
 
     if let Some(upstream) = options.follow.clone() {
@@ -287,10 +275,9 @@ fn main() {
         engine = engine.with_default_budget(budget);
     }
     eprintln!(
-        "cdr-serve: scenario `{}`, {} facts, {} shards, {} workers, {} batch permits",
+        "cdr-serve: scenario `{}`, {} facts, {} workers, {} batch permits",
         options.scenario,
         engine.database().len(),
-        options.shards,
         options.config.workers,
         options.config.batch_permits
     );
@@ -302,11 +289,6 @@ fn main() {
                 exit(1)
             }
         }
-    } else if options.shards > 1 {
-        Server::start_sharded(
-            ShardedEngine::from_engine(engine, options.shards),
-            options.config.clone(),
-        )
     } else {
         Server::start(engine, options.config.clone())
     };

@@ -357,7 +357,9 @@ impl ReplState {
 /// read/write lock, plus the replication sidecar.
 pub struct ReplicatedBackend {
     engine: RwLock<RepairEngine>,
-    repl: Mutex<ReplState>,
+    /// Boxed, so a [`Backend`](crate::Backend) holding this stays close
+    /// in size to one holding a bare engine.
+    repl: Mutex<Box<ReplState>>,
     /// Re-applies the serving tuning (budget, parallelism, cache
     /// capacity) to an engine rebuilt from a snapshot.
     tune: Box<dyn Fn(RepairEngine) -> RepairEngine + Send + Sync>,
@@ -397,19 +399,50 @@ impl ReplicatedBackend {
                     keys,
                 } = snapshot;
                 let mut engine = tune(RepairEngine::restore(db, keys, generation, rel_generations));
-                let (log, payloads) = open_log(&log_path)?;
+                let (mut log, mut payloads) = open_log(&log_path)?;
                 let schema = engine.database().schema().clone();
-                let mut epoch = epoch;
-                for (expected, payload) in (offset..).zip(payloads.iter()) {
-                    let record = LogRecord::decode(payload, &schema)?;
+                let records = payloads
+                    .iter()
+                    .map(|payload| LogRecord::decode(payload, &schema))
+                    .collect::<Result<Vec<_>, _>>()?;
+                // A crash between the snapshot write and the log truncation
+                // of `record_compaction` leaves the records the snapshot
+                // already holds at the head of the log: a contiguous run
+                // ending exactly at `offset - 1`.  Those are skipped.
+                let first = records
+                    .first()
+                    .map_or(offset, |record| record.offset.min(offset));
+                let stale = (offset - first) as usize;
+                for (expected, record) in (first..).zip(&records) {
                     if record.offset != expected {
                         return Err(ReplogError::Diverged(format!(
                             "log record at offset {} where {} was expected",
                             record.offset, expected
                         )));
                     }
-                    apply_record(&mut engine, &record)?;
+                }
+                if records.len() < stale {
+                    return Err(ReplogError::Diverged(format!(
+                        "log ends at offset {} short of the snapshot offset {offset}",
+                        first + records.len() as u64
+                    )));
+                }
+                let mut epoch = epoch;
+                for record in &records[stale..] {
+                    apply_record(&mut engine, record)?;
                     epoch = epoch.max(record.epoch);
+                }
+                if stale > 0 {
+                    // Rewrite the log without the stale head, atomically
+                    // (temp file + rename) like the snapshot itself.
+                    payloads.drain(..stale);
+                    let tmp = dir.join("log.tmp");
+                    std::fs::write(
+                        &tmp,
+                        payloads.iter().flat_map(|p| frame(p)).collect::<Vec<u8>>(),
+                    )?;
+                    std::fs::rename(&tmp, &log_path)?;
+                    log = cdr_core::LogWriter::open(&log_path)?;
                 }
                 let replayed = payloads.len() as u64;
                 let state = ReplState {
@@ -481,7 +514,7 @@ impl ReplicatedBackend {
         };
         Ok(ReplicatedBackend {
             engine: RwLock::new(engine),
-            repl: Mutex::new(state),
+            repl: Mutex::new(Box::new(state)),
             tune: Box::new(tune),
         })
     }
@@ -586,7 +619,7 @@ impl ReplicatedBackend {
         };
         Ok(ReplicatedBackend {
             engine: RwLock::new(engine),
-            repl: Mutex::new(state),
+            repl: Mutex::new(Box::new(state)),
             tune: Box::new(tune),
         })
     }
@@ -1466,6 +1499,72 @@ mod tests {
             assert_eq!(engine.database(), &db.0);
             assert_eq!(engine.generation(), db.1);
         });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs 4 mutations and a compaction, then rewrites `log.bin` with
+    /// `keep` of the 5 records (4 mutations, 1 compaction) as they stood
+    /// between the snapshot write and the log truncation.  Returns the
+    /// compacted engine's database and generation.
+    fn crash_before_truncation(
+        dir: &Path,
+        keep: impl Fn(usize) -> bool,
+    ) -> (cdr_repairdb::Database, u64) {
+        let backend = ReplicatedBackend::primary(seed(), dir).unwrap();
+        let db = backend.parse_database();
+        let insert = |text: &str| Mutation::Insert(db.parse_fact(text).unwrap());
+        backend.mutate(insert("Employee(7, 'Ada', 'IT')"), None);
+        backend.mutate(insert("Employee(8, 'Kim', 'HR')"), None);
+        backend.mutate(Mutation::Delete(cdr_repairdb::FactId::new(0)), None);
+        backend.mutate(insert("Employee(8, 'Lee', 'HR')"), None);
+        backend.compact().unwrap();
+        let records = backend.repl.lock().unwrap().records.clone();
+        assert_eq!(records.len(), 5);
+        let log: Vec<u8> = (0..records.len())
+            .filter(|&i| keep(i))
+            .flat_map(|i| frame(&records[i]))
+            .collect();
+        std::fs::write(dir.join(LOG_FILE), log).unwrap();
+        backend.read(|engine| (engine.database().clone(), engine.generation()))
+    }
+
+    #[test]
+    fn recovery_skips_the_records_a_crash_left_before_the_snapshot() {
+        let dir = temp_dir("crash-truncate");
+        let (db, generation) = crash_before_truncation(&dir, |_| true);
+        let recovered = ReplicatedBackend::primary(seed(), &dir).unwrap();
+        let stats = recovered.stats();
+        assert!(
+            stats.contains(" repl role=primary epoch=0 base=5 end=5 replayed=0"),
+            "{stats}"
+        );
+        recovered.read(|engine| {
+            assert_eq!(engine.database(), &db);
+            assert_eq!(engine.generation(), generation);
+        });
+        // The stale head is gone from disk, and the log appends after it.
+        assert!(read_log_payloads(&dir.join(LOG_FILE)).unwrap().is_empty());
+        let reply = recovered.mutate(Mutation::Delete(cdr_repairdb::FactId::new(0)), None);
+        assert!(reply.starts_with("OK DELETE id=0 "), "{reply}");
+        drop(recovered);
+        let rebooted = ReplicatedBackend::primary(seed(), &dir).unwrap();
+        assert!(
+            rebooted.stats().contains(" base=5 end=6 replayed=1"),
+            "{}",
+            rebooted.stats()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_still_refuses_a_log_with_a_gap() {
+        let dir = temp_dir("crash-gap");
+        crash_before_truncation(&dir, |i| i != 2);
+        let refused = ReplicatedBackend::primary(seed(), &dir).err();
+        assert!(
+            matches!(refused, Some(ReplogError::Diverged(_))),
+            "{refused:?}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,11 +12,11 @@ use crate::ServerConfig;
 
 /// Everything worker threads share.
 ///
-/// The engine sits behind a [`Backend`]: classically one `RwLock` whose
-/// read guards run queries concurrently and whose write guard drains
-/// every in-flight query and applies atomically (the engine's `&mut self`
-/// mutation barrier, realised at the network layer); with `--shards N`, a
-/// sharded router whose writers contend per shard.  Every guard helper
+/// The engine sits behind a [`Backend`]: one `RwLock` whose read guards
+/// run queries concurrently and whose write guard drains every in-flight
+/// query and applies atomically (the engine's `&mut self` mutation
+/// barrier, realised at the network layer), with the replication sidecar
+/// appending to its log under that same write guard.  Every guard helper
 /// *recovers* from poisoning — a panicking handler is caught by its
 /// worker, counted, and must not wedge the whole server.  Recovery is
 /// sound because handlers only panic outside engine mutation paths (the
@@ -126,30 +126,25 @@ impl EngineHost for Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdr_core::ShardedEngine;
+    use cdr_core::RepairEngine;
     use cdr_workloads::employee_example;
 
-    fn sharded_shared(permits: usize) -> Shared {
+    fn single_shared(permits: usize) -> Shared {
         let (db, keys) = employee_example();
         let mut config = ServerConfig::bind("127.0.0.1:0");
         config.batch_permits = permits;
         let waker = Waker::new().expect("loopback waker");
-        Shared::new(
-            Backend::sharded(ShardedEngine::new(db, keys, 4)),
-            config,
-            waker,
-        )
+        Shared::new(Backend::single(RepairEngine::new(db, keys)), config, waker)
     }
 
-    /// The permit-pool audit for the sharded path: a batch that panics
-    /// mid-scatter must put its permit back on unwind (the
-    /// [`PermitGuard`] drop), or the pool would leak down to permanent
-    /// `ERR BUSY`.
+    /// The permit-pool audit: a batch that panics mid-fan-out must put
+    /// its permit back on unwind (the [`PermitGuard`] drop), or the pool
+    /// would leak down to permanent `ERR BUSY`.
     #[test]
-    fn a_panicking_batch_returns_its_permit_on_the_sharded_backend() {
-        let shared = sharded_shared(1);
+    fn a_panicking_batch_returns_its_permit() {
+        let shared = single_shared(1);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.with_batch_permit(|| -> () { panic!("scatter phase blew up") })
+            shared.with_batch_permit(|| -> () { panic!("fan-out phase blew up") })
         }));
         assert!(unwound.is_err());
         assert_eq!(shared.with_batch_permit(|| 7), Some(7));
@@ -160,8 +155,8 @@ mod tests {
     /// rejection) and recovers as soon as the holder finishes — error or
     /// not, the permit travels back through the normal return path.
     #[test]
-    fn an_exhausted_pool_rejects_then_recovers_on_the_sharded_backend() {
-        let shared = sharded_shared(1);
+    fn an_exhausted_pool_rejects_then_recovers() {
+        let shared = single_shared(1);
         let held = shared.with_batch_permit(|| {
             assert_eq!(shared.with_batch_permit(|| ()), None);
             let failed: Result<(), &str> = Err("every item of the batch failed");

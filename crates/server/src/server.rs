@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cdr_core::{RepairEngine, ShardedEngine};
+use cdr_core::RepairEngine;
 use cdr_reactor::Waker;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -61,14 +61,6 @@ impl Server {
     /// server.
     pub fn start(engine: RepairEngine, config: ServerConfig) -> std::io::Result<Server> {
         Server::start_backend(Backend::single(engine), config)
-    }
-
-    /// Like [`Server::start`], but serves from a sharded scatter–gather
-    /// engine: mutations route to their hash-owned shard, queries run on
-    /// the gathered view, and replies stay byte-identical to the
-    /// single-engine server fed the same command sequence.
-    pub fn start_sharded(engine: ShardedEngine, config: ServerConfig) -> std::io::Result<Server> {
-        Server::start_backend(Backend::sharded(engine), config)
     }
 
     /// Like [`Server::start`], but serves a replicated backend — a

@@ -5,12 +5,17 @@
 //! scheduling-surface and rendering code is what makes the concurrency
 //! tests meaningful: a socket reply can be compared byte-for-byte against
 //! the oracle's reply for the same command sequence.
+//!
+//! Either way a session talks to one [`RepairEngine`] through a
+//! [`Backend`]: the engine alone, or the engine plus the replication
+//! sidecar that logs each mutation before applying it (a primary) or
+//! refuses mutations while it tails one (a follower).
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use cdr_core::{wire, CountRequest, EngineCommand, RepairEngine, ShardedEngine, WireError};
+use cdr_core::{wire, CountRequest, EngineCommand, RepairEngine, WireError};
 use cdr_repairdb::{Database, FactId, Mutation};
 
 use crate::backend::Backend;
@@ -327,8 +332,7 @@ fn database_snapshot<H: EngineHost>(host: &H) -> Arc<Database> {
 }
 
 /// Executes one engine command line: queries under shared access,
-/// mutations through the backend's write path (the single-lock barrier,
-/// or the sharded router).
+/// mutations through the backend's write path (the engine's write lock).
 fn execute_command<H: EngineHost>(host: &H, line: &str) -> String {
     let db = database_snapshot(host);
     let threshold = host.auto_compact_threshold();
@@ -503,13 +507,6 @@ impl Oracle {
         Oracle::over(Backend::single(engine))
     }
 
-    /// A reference session over a sharded engine — the replay ground
-    /// truth for `cdr-serve --shards N`, sharing the router and gathered
-    /// view code with the live server.
-    pub fn sharded(engine: ShardedEngine) -> Self {
-        Oracle::over(Backend::sharded(engine))
-    }
-
     /// A reference session over any backend.
     pub fn over(backend: Backend) -> Self {
         Oracle {
@@ -570,7 +567,6 @@ impl Oracle {
     }
 
     /// Shared access to the underlying engine (for end-state assertions).
-    /// On a sharded backend this reads the drained gathered view.
     pub fn with_engine<R>(&self, f: impl FnOnce(&RepairEngine) -> R) -> R {
         self.backend.read(f)
     }
@@ -840,40 +836,6 @@ mod tests {
         oracle.feed("SLEEP 0");
         let replies = oracle.feed("END");
         assert_eq!(replies, vec!["OK BATCH 1", "OK SLEPT 0"]);
-    }
-
-    #[test]
-    fn sharded_oracle_replies_match_the_single_engine_oracle() {
-        let (db, keys) = employee_example();
-        let mut single = Oracle::new(RepairEngine::new(db.clone(), keys.clone()));
-        let mut sharded = Oracle::sharded(ShardedEngine::new(db, keys, 3));
-        let script = [
-            "COUNT auto EXISTS n . Employee(2, n, 'IT')",
-            "INSERT Employee(2, 'Eve', 'Sales')",
-            "FREQ EXISTS n . Employee(2, n, 'IT')",
-            "DELETE 4",
-            "DELETE 4",
-            "BATCH",
-            "INSERT Employee(3, 'Ann', 'IT')",
-            "INSERT Employee(3, 'Kim', 'HR')",
-            "END",
-            "DELETE 1",
-            "COMPACT VERBOSE",
-            "CERTAIN EXISTS n . Employee(2, n, 'IT')",
-            "STATS",
-        ];
-        for line in script {
-            let lhs = single.feed(line);
-            let rhs = sharded.feed(line);
-            if line == "STATS" {
-                // The sharded STATS reply is the single reply plus the
-                // per-shard gauge tail.
-                assert!(rhs[0].starts_with(&lhs[0]), "{} vs {}", lhs[0], rhs[0]);
-                assert!(rhs[0].contains(" | shards=3 "), "{}", rhs[0]);
-            } else {
-                assert_eq!(lhs, rhs, "diverged on `{line}`");
-            }
-        }
     }
 
     #[test]

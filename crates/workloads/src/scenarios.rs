@@ -30,11 +30,9 @@ pub fn employee_example() -> (Database, KeySet) {
 /// keyed on the first column: `R(k, 'v0'), …, R(k, 'v{width-1}')` for
 /// every `k < blocks`, so the total repair count is `width^blocks`.
 ///
-/// This is the block-count-heavy shape the sharded engine is measured
-/// on (`engine_shards` bench): every block is a conflict, and each
+/// This is a block-count-heavy shape: every block is a conflict, and each
 /// apply's incremental block-product update runs over a number of limbs
-/// proportional to the block count its engine holds — so more blocks
-/// means a bigger per-shard saving when the partition splits them.
+/// proportional to the block count the engine holds.
 pub fn conflicting_blocks(blocks: usize, width: usize) -> (Database, KeySet) {
     let mut schema = Schema::new();
     schema.add_relation("R", 2).expect("fresh schema");

@@ -84,7 +84,7 @@ pub mod prelude {
         decode_bulk, encode_bulk, Answer, ApproxConfig, CacheStats, CompactionOutcome,
         CountOutcome, CountReport, CountRequest, EngineCommand, EngineResponse, ExactStrategy,
         FprasEstimator, FrameError, KarpLubyEstimator, MutationReport, RepairCounter, RepairEngine,
-        Semantics, ShardGauges, ShardedApplied, ShardedEngine, Strategy,
+        Semantics, Strategy,
     };
     pub use cdr_num::{BigNat, LogNum, Ratio};
     pub use cdr_query::{parse_query, Query, UcqQuery};

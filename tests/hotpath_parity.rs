@@ -27,7 +27,6 @@ use proptest::prelude::*;
 use repair_count::counting::{
     count_by_enumeration, FprasEstimator, KarpLubyEstimator, Strategy as EngineStrategy,
 };
-use repair_count::db::FactId;
 use repair_count::prelude::*;
 use repair_count::query::rewrite_to_ucq;
 
@@ -221,95 +220,6 @@ fn compaction_preserves_every_report_bit_for_bit() {
     }
 }
 
-/// The scripted mutation phase of [`mutate`], applied through the
-/// sharded router instead of the bare engine.
-fn mutate_sharded(engine: &ShardedEngine) {
-    for text in ["R(0, 'eve', 'ops')", "S(0, 'z')"] {
-        let fact = engine.parse_database().parse_fact(text).unwrap();
-        engine.apply(Mutation::Insert(fact)).unwrap();
-    }
-    let victim = engine.read(|e| {
-        let rel = e.database().schema().relation_id("R").unwrap();
-        e.database().facts_of(rel)[0]
-    });
-    engine.apply(Mutation::Delete(victim)).unwrap();
-}
-
-/// The wire-visible fields of a [`MutationReport`]: `duration` is
-/// wall-clock and a sharded report's deltas carry shard-local block
-/// slots, so neither participates in parity.
-fn report_digest(report: &MutationReport) -> String {
-    let deltas: Vec<(usize, usize)> = report
-        .deltas
-        .iter()
-        .map(|d| (d.old_len, d.new_len))
-        .collect();
-    format!(
-        "applied={} noops={} gen={} deltas={deltas:?}",
-        report.applied, report.noops, report.generation
-    )
-}
-
-/// Acceptance for the sharded engine: the full battery — exact counts,
-/// decisions, certain answers, frequencies, **seeded** KL/FPRAS
-/// estimates, and the scripted mutation phase — rendered through an
-/// N-shard engine is byte-identical to the 1-shard golden record for
-/// every shard count.  This is the determinism contract: the gathered
-/// view replays the global mutation sequence, so its flattened block
-/// arrays (and hence every seeded draw sequence) are in global `≺` order,
-/// never per-shard RNG streams.
-#[test]
-fn sharded_battery_is_byte_identical_to_the_golden_record() {
-    for n in [1usize, 2, 4, 7] {
-        let mut out = String::new();
-        for seed in [3u64, 11, 29, 54, 90] {
-            let (db, keys) = workload(seed);
-            let queries: Vec<Query> = QUERIES.iter().map(|t| parse_query(t).unwrap()).collect();
-            let sharded = ShardedEngine::new(db, keys, n);
-            sharded.read(|e| render_engine(&mut out, &format!("w{seed}"), e, &queries));
-            mutate_sharded(&sharded);
-            sharded.read(|e| render_engine(&mut out, &format!("w{seed}m"), e, &queries));
-        }
-        if out != GOLDEN {
-            let golden_lines: Vec<&str> = GOLDEN.lines().collect();
-            for (i, line) in out.lines().enumerate() {
-                let expected = golden_lines.get(i).copied().unwrap_or("<missing>");
-                assert_eq!(line, expected, "{n}-shard divergence at line {i}");
-            }
-            panic!("{n}-shard output is a prefix of the golden record but shorter");
-        }
-    }
-}
-
-/// Sharded compaction is the same pure renaming: every tracked answer,
-/// including seeded estimates, survives `ShardedEngine::compact`
-/// byte-for-byte at every shard count.
-#[test]
-fn sharded_compaction_preserves_every_report_bit_for_bit() {
-    for n in [2usize, 4, 7] {
-        for seed in [3u64, 29, 90] {
-            let (db, keys) = workload(seed);
-            let queries: Vec<Query> = QUERIES.iter().map(|t| parse_query(t).unwrap()).collect();
-            let sharded = ShardedEngine::new(db, keys, n);
-            mutate_sharded(&sharded);
-            let mut before = String::new();
-            sharded.read(|e| render_engine(&mut before, "c", e, &queries));
-            let outcome = sharded.compact();
-            assert!(
-                outcome.report.ids_reclaimed() > 0,
-                "the delete left a tombstone"
-            );
-            assert!(outcome.total_cross_checked, "∏ |Bᵢ| cross-check");
-            let mut after = String::new();
-            sharded.read(|e| render_engine(&mut after, "c", e, &queries));
-            assert_eq!(
-                before, after,
-                "seed {seed}: {n}-shard compaction changed an answer"
-            );
-        }
-    }
-}
-
 /// Sanity for the battery itself: the boxes-strategy counts in the golden
 /// record agree with exhaustive repair enumeration, before and after the
 /// mutation phase.
@@ -382,85 +292,6 @@ proptest! {
         prop_assert_eq!(fresh_kl.positive_samples, engine_kl.positive_samples);
     }
 
-    /// Random mutation interleavings — inserts, deletes (including
-    /// misses) and auto-compaction probes — applied in lockstep through an
-    /// N-shard engine and a fresh unsharded engine: every report, every
-    /// error and the final full battery must agree exactly.  Reports are
-    /// compared on their wire-visible fields — `duration` is wall-clock
-    /// and a sharded delta carries the *shard-local* block slot.
-    #[test]
-    fn random_mutation_interleavings_match_a_fresh_unsharded_engine(
-        seed in 0u64..1_000_000,
-        op_seed in 0u64..1_000_000,
-        shards in 1usize..6,
-    ) {
-        let (db, keys) = workload(seed);
-        let mut reference = RepairEngine::new(db.clone(), keys.clone());
-        let sharded = ShardedEngine::new(db, keys, shards);
-        let mut lcg = Lcg(op_seed);
-        for _ in 0..40 {
-            let roll = lcg.below(10);
-            if roll < 6 {
-                let k = lcg.below(8) as i64;
-                let text = match lcg.below(3) {
-                    0 => {
-                        let name = NAMES[lcg.below(4) as usize];
-                        let dept = DEPTS[lcg.below(3) as usize];
-                        format!("R({k}, '{name}', '{dept}')")
-                    }
-                    1 => {
-                        let tag = TAGS[lcg.below(3) as usize];
-                        format!("S({k}, '{tag}')")
-                    }
-                    _ => format!("Log('entry{k}')"),
-                };
-                let fact = reference.database().parse_fact(&text).unwrap();
-                let lhs = reference.apply(Mutation::Insert(fact.clone()));
-                let rhs = sharded.apply(Mutation::Insert(fact));
-                match (lhs, rhs) {
-                    (Ok(l), Ok(r)) => {
-                        prop_assert_eq!(report_digest(&l), report_digest(&r.report));
-                        prop_assert_eq!(reference.total_repairs(), &*r.total);
-                    }
-                    (l, r) => prop_assert_eq!(
-                        format!("{:?}", l.map(|_| ())),
-                        format!("{:?}", r.map(|_| ()))
-                    ),
-                }
-            } else if roll < 9 {
-                let bound = reference.database().fact_ids_assigned() as u64 + 2;
-                let id = FactId::new(lcg.below(bound) as usize);
-                let lhs = reference.apply(Mutation::Delete(id));
-                let rhs = sharded.apply(Mutation::Delete(id));
-                match (lhs, rhs) {
-                    (Ok(l), Ok(r)) => {
-                        prop_assert_eq!(report_digest(&l), report_digest(&r.report));
-                        prop_assert_eq!(reference.total_repairs(), &*r.total);
-                    }
-                    (l, r) => prop_assert_eq!(
-                        format!("{:?}", l.map(|_| ())),
-                        format!("{:?}", r.map(|_| ()))
-                    ),
-                }
-            } else {
-                let threshold = 1 + lcg.below(6);
-                let lhs = reference.maybe_compact(threshold);
-                let rhs = sharded.maybe_compact(threshold);
-                prop_assert_eq!(
-                    lhs.is_some(),
-                    rhs.is_some(),
-                    "auto-compaction policies diverged"
-                );
-            }
-        }
-        prop_assert_eq!(reference.total_repairs(), &sharded.total_repairs());
-        let queries: Vec<Query> = QUERIES.iter().map(|t| parse_query(t).unwrap()).collect();
-        let mut lhs = String::new();
-        render_engine(&mut lhs, "p", &reference, &queries);
-        let mut rhs = String::new();
-        sharded.read(|e| render_engine(&mut rhs, "p", e, &queries));
-        prop_assert_eq!(lhs, rhs, "final battery diverged");
-    }
 }
 
 /// Prints the golden block; run ignored with `--nocapture` to refresh

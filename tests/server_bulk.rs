@@ -6,7 +6,7 @@
 //! `INSERT`/`DELETE` lines it replaces — ids, `applied=`, `gen=` and
 //! `total=` provenance included — and leaves the engine in the same
 //! state, measured through `STATS`.  The invariant must hold for every
-//! backend (single engine, sharded router, replicated primary), a
+//! backend (single engine, replicated primary), a
 //! follower must refuse bulk mutations per op with `ERR READONLY`, and
 //! the readiness-driven server must keep serving other connections
 //! while one peer dribbles a frame in byte by byte.
@@ -100,16 +100,6 @@ fn assert_bulk_textual_parity(mut start: impl FnMut() -> Server) {
 #[test]
 fn bulk_matches_textual_on_the_single_engine() {
     assert_bulk_textual_parity(|| start_server(employee_engine(), |_| {}));
-}
-
-#[test]
-fn bulk_matches_textual_on_the_sharded_router() {
-    assert_bulk_textual_parity(|| {
-        let (db, keys) = employee_example();
-        let mut config = ServerConfig::bind("127.0.0.1:0");
-        config.poll_interval = Duration::from_millis(25);
-        Server::start_sharded(ShardedEngine::new(db, keys, 3), config).expect("bind")
-    });
 }
 
 #[test]

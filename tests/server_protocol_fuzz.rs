@@ -4,10 +4,9 @@
 //! the served engine must be bit-for-bit equal to a fresh engine built on
 //! the final fact set (the `engine_mutation_parity` harness's criterion,
 //! checked here through the wire).  Each generated case also picks the
-//! backend — the classic `RwLock<RepairEngine>`, the sharded
-//! scatter–gather router at 1–4 shards, or a replicated primary logging
-//! to disk — since hostile input must not care what engine is behind the
-//! socket.  The replicated cases additionally boot a follower afterwards
+//! backend — the classic `RwLock<RepairEngine>` or a replicated primary
+//! logging to disk — since hostile input must not care what engine is
+//! behind the socket.  The replicated cases additionally boot a follower afterwards
 //! and demand catch-up plus gauge parity, and every case now mixes
 //! garbage `REPL` frames into the hostile stream.
 //!
@@ -55,11 +54,10 @@ fn temp_log_dir() -> std::path::PathBuf {
     dir
 }
 
-/// `mode == 0` serves the classic `RwLock<RepairEngine>` backend, modes
-/// 1–4 the sharded scatter–gather router at that shard count, and mode 5
-/// a replicated primary appending to an on-disk command log (the second
-/// return is the log directory to clean up).  The fuzz property runs
-/// against all of them — hostile bytes must not care which engine is
+/// `mode == 0` serves the classic `RwLock<RepairEngine>` backend, and
+/// mode 1 a replicated primary appending to an on-disk command log (the
+/// second return is the log directory to clean up).  The fuzz property
+/// runs against both — hostile bytes must not care which engine is
 /// behind the socket, and the parity criterion is backend-independent.
 fn start_fuzz_server(
     db: Database,
@@ -68,17 +66,13 @@ fn start_fuzz_server(
 ) -> (Server, Option<std::path::PathBuf>) {
     if mode == 0 {
         (start_server(RepairEngine::new(db, keys), |_| {}), None)
-    } else if mode == 5 {
+    } else {
         let dir = temp_log_dir();
         let backend = ReplicatedBackend::primary(RepairEngine::new(db, keys), &dir)
             .expect("a fresh log directory always opens");
         let server = Server::start_replicated(backend, fuzz_config())
             .expect("binding an ephemeral loopback port");
         (server, Some(dir))
-    } else {
-        let server = Server::start_sharded(ShardedEngine::new(db, keys, mode), fuzz_config())
-            .expect("binding an ephemeral loopback port");
-        (server, None)
     }
 }
 
@@ -196,7 +190,7 @@ proptest! {
     fn arbitrary_lines_never_panic_the_server(
         seed in 0u64..300,
         steps in 20usize..48,
-        mode in 0usize..6,
+        mode in 0usize..2,
     ) {
         let (db, keys) = base();
         // Track live facts by id: the base assigned 0..n in insertion order.
@@ -425,7 +419,7 @@ proptest! {
         // A replicated primary that survived the hostile stream must
         // still be tailable: boot a follower, wait for catch-up, and
         // demand gauge parity plus the read-only refusal.
-        if mode == 5 {
+        if mode == 1 {
             let upstream = server.addr().to_string();
             let follower_backend = ReplicatedBackend::follower(&upstream, None, |engine| engine)
                 .expect("bootstrapping from a live primary");
@@ -701,30 +695,4 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
     primary.shutdown();
     assert_eq!(primary.join().recovered_panics, 0);
     let _ = std::fs::remove_dir_all(dir);
-}
-
-/// The same vanish-without-END session against the sharded router: the
-/// queued mutation must never reach a shard, the router's commit log, or
-/// the gathered view.
-#[test]
-fn abrupt_disconnect_mid_batch_leaves_sharded_engine_untouched() {
-    let (db, keys) = base();
-    let total = RepairEngine::new(db.clone(), keys.clone())
-        .total_repairs()
-        .clone();
-    let (server, _) = start_fuzz_server(db, keys, 3);
-    let mut rude = Client::connect(server.addr()).expect("connect");
-    rude.send_line("BATCH").expect("open a batch");
-    rude.send_line("INSERT Reading(0, 0, 777)")
-        .expect("queue a mutation");
-    drop(rude); // vanish without END
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let reply = client.send("STATS").expect("STATS");
-    assert!(
-        reply.contains(&format!(" total={total} gen=0 ")),
-        "an unterminated batch applied nothing: {reply}"
-    );
-    assert!(reply.contains(" | shards=3 "), "{reply}");
-    server.shutdown();
-    assert_eq!(server.join().recovered_panics, 0);
 }

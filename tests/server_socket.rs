@@ -468,88 +468,15 @@ fn admin_token_gates_shutdown_and_chaos_verbs() {
     assert_eq!(stats.recovered_panics, 0, "every denial was a reply");
 }
 
-/// Acceptance: a sharded server's replies — mutations, scatter–gather
-/// queries, batches, compaction, seeded estimates — are byte-identical
-/// to the single-engine oracle replaying the same lines, and its `STATS`
-/// head matches with per-shard gauges appended.
+/// Regression for the permit-pool audit: an overloaded batch pool
+/// answers `ERR BUSY` immediately, and the permit always comes back when
+/// the admitted batch finishes — the pool must not leak.
 #[test]
-fn sharded_server_matches_the_unsharded_oracle() {
-    let (db, keys) = employee_example();
-    let engine = ShardedEngine::new(db, keys, 4);
-    let mut config = ServerConfig::bind("127.0.0.1:0");
-    config.poll_interval = Duration::from_millis(25);
-    let server = Server::start_sharded(engine, config).expect("bind");
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let mut oracle = Oracle::new(employee_engine());
-
-    let q_join = "EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)";
-    let script = [
-        format!("COUNT auto {q_join}"),
-        "INSERT Employee(2, 'Eve', 'Finance')".to_string(),
-        "FREQ EXISTS n . Employee(2, n, 'IT')".to_string(),
-        "APPROX 0.25 0.1 42 EXISTS n . Employee(2, n, 'IT')".to_string(),
-        "DELETE 1".to_string(),
-        "COMPACT VERBOSE".to_string(),
-        format!("CERTAIN {q_join}"),
-        "DELETE 99".to_string(),
-    ];
-    for line in &script {
-        let expected = oracle.feed(line);
-        if line == "COMPACT VERBOSE" {
-            // Multi-line reply: read the header, then one line per remap.
-            client.send_line(line).expect("send");
-            let mut got = vec![client.read_line().expect("header")];
-            let remaps: usize = got[0]
-                .rsplit("remaps=")
-                .next()
-                .and_then(|n| n.parse().ok())
-                .expect("remap count");
-            for _ in 0..remaps {
-                got.push(client.read_line().expect("remap line"));
-            }
-            assert_eq!(got, expected, "diverged on `{line}`");
-        } else {
-            let reply = client.send(line).expect("send");
-            assert_eq!(vec![reply], expected, "diverged on `{line}`");
-        }
-    }
-    // Mutation batches aggregate identically.
-    let batch = [
-        "INSERT Employee(3, 'Ann', 'IT')",
-        "INSERT Employee(3, 'Kim', 'HR')",
-    ];
-    let replies = client.send_batch(&batch).expect("batch");
-    let mut expected = Vec::new();
-    expected.extend(oracle.feed("BATCH"));
-    for line in batch {
-        expected.extend(oracle.feed(line));
-    }
-    expected.extend(oracle.feed("END"));
-    assert_eq!(replies, expected);
-
-    // STATS: the unsharded head plus per-shard gauges.
-    let stats_line = client.send("STATS").unwrap();
-    let oracle_stats = oracle.feed("STATS");
-    assert!(stats_line.starts_with(&oracle_stats[0]), "{stats_line}");
-    assert!(stats_line.contains(" | shards=4 s0="), "{stats_line}");
-
-    server.shutdown();
-    assert_eq!(server.join().recovered_panics, 0);
-}
-
-/// Regression for the sharded path's permit-pool audit: an overloaded
-/// batch pool on a sharded server answers `ERR BUSY` immediately, and the
-/// permit always comes back when the admitted batch finishes — the pool
-/// must not leak under the sharded backend any more than under the
-/// single-engine one.
-#[test]
-fn sharded_batch_overload_draws_server_busy_and_recovers() {
-    let (db, keys) = employee_example();
-    let mut config = ServerConfig::bind("127.0.0.1:0");
-    config.poll_interval = Duration::from_millis(25);
-    config.batch_permits = 1;
-    config.workers = 4;
-    let server = Server::start_sharded(ShardedEngine::new(db, keys, 4), config).expect("bind");
+fn batch_overload_draws_server_busy_and_recovers() {
+    let server = start_server(employee_engine(), |config| {
+        config.batch_permits = 1;
+        config.workers = 4;
+    });
     let addr = server.addr();
 
     // Client A occupies the only batch permit for ~1.2 s.
@@ -561,8 +488,8 @@ fn sharded_batch_overload_draws_server_busy_and_recovers() {
     });
     thread::sleep(Duration::from_millis(300));
 
-    // Client B is refused immediately; plain scatter–gather queries
-    // bypass batch admission and keep working on the same connection.
+    // Client B is refused immediately; plain queries bypass batch
+    // admission and keep working on the same connection.
     let mut probe = Client::connect(addr).expect("connect");
     let refused = probe
         .send_batch(&["COUNT auto EXISTS n . Employee(2, n, 'IT')"])
