@@ -78,7 +78,7 @@ mod session;
 pub mod supervisor;
 
 pub use backend::Backend;
-pub use replication::{FeedMode, ReplReply, ReplicatedBackend, Role};
+pub use replication::{ReplReply, ReplicatedBackend, Role};
 pub use reply::{error_code, render_count_error, render_wire_error};
 pub use server::{Server, ServerStats};
 pub use session::Oracle;

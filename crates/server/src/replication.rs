@@ -5,36 +5,31 @@
 //! to an in-memory record list (and, with `--log-dir`, a framed on-disk
 //! log) *before* applying it, snapshots at every compaction point and
 //! truncates the disk log there; a **follower** bootstraps from the
-//! primary's snapshot over the ordinary text protocol (`REPL SNAPSHOT`),
-//! then tails the record stream (`REPL FETCH`), applying each record
-//! through the same replay path cold-start recovery uses.  Because wire
-//! replies are deterministic functions of engine state and command order,
-//! a caught-up follower answers every read — including seeded estimates
+//! primary's snapshot (`REPL SNAPSHOT BIN`), then tails the record
+//! stream (`REPL FETCH … BIN`), applying each record through the same
+//! replay path cold-start recovery uses.  Because wire replies are
+//! deterministic functions of engine state and command order, a
+//! caught-up follower answers every read — including seeded estimates
 //! and `gen=`/`cached=` provenance — byte-identically to the primary.
 //!
-//! The protocol is pull-based and rides the existing line protocol:
+//! The protocol is pull-based: each request is one line, each reply a
+//! header line followed by raw bytes.
 //!
 //! ```text
-//! REPL HELLO                 -> OK REPL HELLO epoch=E base=B end=N snap=S … caps=bin
-//! REPL SNAPSHOT              -> OK REPL SNAPSHOT epoch=E offset=S bytes=B chunks=K
-//!                               REPL CHUNK <hex>          (x K)
+//! REPL HELLO                 -> OK REPL HELLO epoch=E base=B end=N snap=S role=R compact=T
 //! REPL SNAPSHOT BIN          -> OK REPL SNAPSHOT BIN epoch=E offset=S bytes=B chunks=K
 //!                               [len ‖ crc32 ‖ payload]   (x K, raw bytes)
-//! REPL FETCH <from> <max>    -> OK REPL RECORDS n=N next=F end=E
-//!                               REPL RECORD <hex(crc32||payload)>   (x N)
 //! REPL FETCH <from> <max> BIN-> OK REPL BATCH <len> n=N next=F end=E
 //!                               <len raw bytes>           (one batch frame)
 //! PROMOTE [FORCE]            -> OK PROMOTED epoch=E end=N   (follower, behind AUTH)
 //! ```
 //!
-//! The binary forms are negotiated: `REPL HELLO` advertises `caps=bin`,
-//! and a follower started with the default `--feed auto` uses them when
-//! the upstream does — the textual hex forms stay as the compatibility
-//! fallback (`--feed text` forces them).  A binary batch is strict
-//! all-or-nothing, mirroring `BULK`: any defect — flipped byte, bad
-//! CRC, truncation, an oversize header — rejects the whole frame with
-//! one `ERR REPL FRAME <reason>` and zero records applied, and the
-//! tailer degrades to its usual drop-the-connection-and-retry backoff.
+//! The `BIN` token is required: the feed has one encoding, and the bare
+//! forms answer a usage error.  A batch is strict all-or-nothing,
+//! mirroring `BULK`: any defect — flipped byte, bad CRC, truncation, an
+//! oversize header — rejects the whole frame with one
+//! `ERR REPL FRAME <reason>` and zero records applied, and the tailer
+//! degrades to its usual drop-the-connection-and-retry backoff.
 //! The tailer also double-buffers the feed: while one batch applies
 //! under the engine write guard, the next `FETCH` is already in flight,
 //! so catch-up throughput is bounded by apply cost, not RTT × records.
@@ -50,10 +45,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, RwLock};
 
 use cdr_core::replog::{
-    apply_record, chunk_header, decode_record_batch, encode_record_batch, field, frame, from_hex,
-    hello_request, open_log, parse_compact_token, read_snapshot_file, survivors_of, to_hex,
-    unwrap_checksummed, verify_chunk, wrap_checksummed, write_snapshot_file, LogOp, LogRecord,
-    ReplogError, LOG_FILE,
+    apply_record, chunk_header, decode_record_batch, encode_record_batch, frame, hello_request,
+    open_log, parse_compact_token, read_snapshot_file, survivors_of, verify_chunk,
+    write_snapshot_file, LogOp, LogRecord, ReplogError, LOG_FILE,
 };
 use cdr_core::{CompactionOutcome, RepairEngine};
 use cdr_num::BigNat;
@@ -63,13 +57,7 @@ use crate::backend::apply_single;
 use crate::client::Client;
 use crate::reply;
 
-/// Bytes of snapshot per `REPL CHUNK` line (16 KiB of hex on the wire,
-/// comfortably under the default line cap).
-const SNAPSHOT_CHUNK_BYTES: usize = 8192;
-
-/// Bytes of snapshot per binary chunk (`REPL SNAPSHOT BIN`).  Raw bytes
-/// are not line-capped, so binary chunks are 8× the hex ones — fewer
-/// framing round-trips on the bootstrap path.
+/// Bytes of snapshot per chunk frame (`REPL SNAPSHOT BIN`).
 const SNAPSHOT_BIN_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Most records one `REPL FETCH` answers, whatever the client asked for.
@@ -136,43 +124,18 @@ impl Role {
     }
 }
 
-/// How a follower's feed travels: the negotiated default, or forced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FeedMode {
-    /// Binary when the upstream advertises `caps=bin`, textual otherwise.
-    Auto,
-    /// Binary batches and snapshot chunks, refusing an upstream that
-    /// does not advertise the capability.
-    Bin,
-    /// The textual hex fallback, whatever the upstream advertises.
-    Text,
-}
-
-impl std::str::FromStr for FeedMode {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<FeedMode, String> {
-        match text {
-            "auto" => Ok(FeedMode::Auto),
-            "bin" => Ok(FeedMode::Bin),
-            "text" => Ok(FeedMode::Text),
-            other => Err(format!("`{other}` is not auto, bin or text")),
-        }
-    }
-}
-
-/// One `REPL …` reply: the header/continuation lines, plus the raw
-/// binary bytes (a record batch or snapshot chunks) that follow the
-/// last line on the wire.  `raw` is empty for every textual form.
+/// One `REPL …` reply: the header line, plus the raw bytes (a record
+/// batch or snapshot chunks) that follow it on the wire.  `raw` is
+/// empty for `HELLO` and every error.
 pub struct ReplReply {
     /// The reply lines, in order.
     pub lines: Vec<String>,
-    /// Raw bytes streamed after the last line (binary forms only).
+    /// Raw bytes streamed after the last line.
     pub raw: Vec<u8>,
 }
 
 impl ReplReply {
-    /// A lines-only reply (the textual forms and every error).
+    /// A lines-only reply (`HELLO` and every error).
     pub fn text(lines: Vec<String>) -> ReplReply {
         ReplReply {
             lines,
@@ -188,18 +151,9 @@ pub fn feed_frame_error(reason: &str) -> String {
     format!("ERR REPL FRAME {reason}")
 }
 
-/// Does a `REPL HELLO` reply advertise the binary feed capability?
-fn hello_caps_bin(hello: &str) -> bool {
-    field(hello, "caps=").is_some_and(|caps| caps.split(',').any(|cap| cap == "bin"))
-}
-
-/// The `REPL FETCH` request line for either feed.
-fn fetch_request(from: u64, max: u64, bin: bool) -> String {
-    if bin {
-        format!("REPL FETCH {from} {max} BIN")
-    } else {
-        format!("REPL FETCH {from} {max}")
-    }
+/// The `REPL FETCH` request line.
+fn fetch_request(from: u64, max: u64) -> String {
+    format!("REPL FETCH {from} {max} BIN")
 }
 
 /// What one tailer iteration achieved.
@@ -225,11 +179,9 @@ struct TailConn {
     /// The cursor of a `FETCH` already sent whose reply has not been
     /// read yet — the double-buffering half of the catch-up fast path.
     pending: Option<u64>,
-    /// Whether this connection negotiated the binary feed.
-    bin: bool,
     /// The [`ReplState::tail_gen`] this connection was dialled under.  A
-    /// `RETARGET` or feed swap bumps the generation, so an iteration
-    /// that raced it can neither reuse nor re-store the stale socket.
+    /// `RETARGET` bumps the generation, so an iteration that raced it
+    /// can neither reuse nor re-store the stale socket.
     gen: u64,
 }
 
@@ -257,11 +209,11 @@ struct ReplState {
     /// cold restart replayed only the post-snapshot suffix.
     replayed: u64,
     /// The tailer's warm upstream connection between iterations, with
-    /// its negotiated feed and any in-flight prefetch.
+    /// any in-flight prefetch.
     tail: Option<TailConn>,
-    /// Bumped whenever the upstream or feed preference changes: a
-    /// [`TailConn`] from an older generation is dead on arrival, even if
-    /// a tail iteration holding it raced the change.
+    /// Bumped whenever the upstream changes: a [`TailConn`] from an
+    /// older generation is dead on arrival, even if a tail iteration
+    /// holding it raced the change.
     tail_gen: u64,
     /// The epoch of the newest primary announced over `REPL HELLO`, when
     /// it is strictly newer than ours: this node was deposed, and every
@@ -278,14 +230,9 @@ struct ReplState {
     /// in the HELLO handshake: mismatched thresholds diverge replicas
     /// after promotion, so they are refused at connect time.
     auto_compact: Option<u64>,
-    /// The feed this follower prefers (`--feed`); `Auto` negotiates.
-    feed: FeedMode,
-    /// Whether the active (or last negotiated) feed is binary — the
-    /// `repl feed=` gauge.
-    feed_bin: bool,
-    /// Cumulative payload bytes received over the replication feed
+    /// Cumulative wire bytes received over the replication feed
     /// (snapshot bootstraps plus record fetches) — the `repl bytes=`
-    /// gauge the wire-savings acceptance check reads.
+    /// gauge.
     feed_bytes: u64,
     /// Records the tailer requests per fetch (`--fetch-batch`).
     fetch_batch: u64,
@@ -462,8 +409,6 @@ impl ReplicatedBackend {
                     retries: 0,
                     upstream_end: 0,
                     auto_compact: None,
-                    feed: FeedMode::Auto,
-                    feed_bin: false,
                     feed_bytes: 0,
                     fetch_batch: DEFAULT_FETCH_RECORDS,
                 };
@@ -504,8 +449,6 @@ impl ReplicatedBackend {
                     retries: 0,
                     upstream_end: 0,
                     auto_compact: None,
-                    feed: FeedMode::Auto,
-                    feed_bin: false,
                     feed_bytes: 0,
                     fetch_batch: DEFAULT_FETCH_RECORDS,
                 };
@@ -535,23 +478,14 @@ impl ReplicatedBackend {
         auto_compact: Option<u64>,
         tune: impl Fn(RepairEngine) -> RepairEngine + Send + Sync + 'static,
     ) -> Result<ReplicatedBackend, ReplogError> {
-        ReplicatedBackend::follower_with(
-            upstream,
-            auto_compact,
-            FeedMode::Auto,
-            DEFAULT_FETCH_RECORDS,
-            tune,
-        )
+        ReplicatedBackend::follower_with(upstream, auto_compact, DEFAULT_FETCH_RECORDS, tune)
     }
 
-    /// [`follower`](ReplicatedBackend::follower) with the feed tuned:
-    /// `feed` picks the wire encoding (binary batches when the upstream
-    /// advertises `caps=bin` under `Auto`, forced either way otherwise)
-    /// and `fetch_batch` the records requested per tail fetch.
+    /// [`follower`](ReplicatedBackend::follower) with `fetch_batch`, the
+    /// records requested per tail fetch, tuned.
     pub fn follower_with(
         upstream: &str,
         auto_compact: Option<u64>,
-        feed: FeedMode,
         fetch_batch: u64,
         tune: impl Fn(RepairEngine) -> RepairEngine + Send + Sync + 'static,
     ) -> Result<ReplicatedBackend, ReplogError> {
@@ -562,25 +496,8 @@ impl ReplicatedBackend {
                 "upstream {upstream} refused the handshake: {hello}"
             )));
         }
-        let bin = match feed {
-            FeedMode::Text => false,
-            FeedMode::Auto => hello_caps_bin(&hello),
-            FeedMode::Bin => {
-                if !hello_caps_bin(&hello) {
-                    return Err(ReplogError::Diverged(format!(
-                        "upstream {upstream} does not advertise caps=bin; \
-                         use --feed auto or --feed text to tail it"
-                    )));
-                }
-                true
-            }
-        };
         let upstream_end = field_u64(&hello, "end=").unwrap_or(0);
-        let (snapshot_bytes, snapshot, wire) = if bin {
-            fetch_snapshot_bin(&mut client)?
-        } else {
-            fetch_snapshot(&mut client)?
-        };
+        let (snapshot_bytes, snapshot, wire) = fetch_snapshot_bin(&mut client)?;
         let Snapshot {
             epoch,
             offset,
@@ -604,7 +521,6 @@ impl ReplicatedBackend {
             tail: Some(TailConn {
                 client,
                 pending: None,
-                bin,
                 gen: 0,
             }),
             tail_gen: 0,
@@ -612,8 +528,6 @@ impl ReplicatedBackend {
             retries: 0,
             upstream_end,
             auto_compact,
-            feed,
-            feed_bin: bin,
             feed_bytes: wire,
             fetch_batch: fetch_batch.clamp(1, MAX_FETCH_RECORDS),
         };
@@ -634,17 +548,6 @@ impl ReplicatedBackend {
     /// sets this from its config at start-up.
     pub fn set_auto_compact(&self, threshold: Option<u64>) {
         lock(&self.repl).auto_compact = threshold;
-    }
-
-    /// Swaps the preferred feed encoding.  The warm tail connection is
-    /// dropped so the next iteration re-handshakes and negotiates the
-    /// new preference.  Lets an operator — or a mixed-mode test —
-    /// bootstrap over one encoding and tail over the other.
-    pub fn set_feed(&self, feed: FeedMode) {
-        let mut repl = lock(&self.repl);
-        repl.feed = feed;
-        repl.tail = None;
-        repl.tail_gen += 1;
     }
 
     /// Shared query access to the engine.
@@ -724,17 +627,13 @@ impl ReplicatedBackend {
     }
 
     /// The `STATS` reply with the replication gauge tail.  Followers add
-    /// the feed gauges (`feed=bin|text bytes=<n>`): the active wire
-    /// encoding and the cumulative payload bytes it has cost.
+    /// the feed gauge (`bytes=<n>`): the cumulative wire bytes the feed
+    /// has cost.
     pub fn stats(&self) -> String {
         let head = self.read(reply::render_stats);
         let repl = lock(&self.repl);
         let feed = match repl.role {
-            Role::Follower => format!(
-                " feed={} bytes={}",
-                if repl.feed_bin { "bin" } else { "text" },
-                repl.feed_bytes
-            ),
+            Role::Follower => format!(" bytes={}", repl.feed_bytes),
             Role::Primary => String::new(),
         };
         let fenced = match repl.fenced {
@@ -825,7 +724,7 @@ impl ReplicatedBackend {
                     None => String::new(),
                 };
                 vec![format!(
-                    "OK REPL HELLO epoch={} base={} end={} snap={} role={} {} caps=bin{fenced}",
+                    "OK REPL HELLO epoch={} base={} end={} snap={} role={} {}{fenced}",
                     repl.epoch,
                     repl.mem_base,
                     repl.end(),
@@ -835,61 +734,43 @@ impl ReplicatedBackend {
                 )]
             }),
             "SNAPSHOT" => {
-                let bin = match tokens.get(2) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("BIN") => true,
-                    Some(_) => {
-                        return ReplReply::text(vec![
-                            "ERR REPL usage: REPL SNAPSHOT [BIN]".to_string()
-                        ]);
-                    }
-                };
-                if bin {
-                    let chunks: Vec<&[u8]> = repl
-                        .snapshot_bytes
-                        .chunks(SNAPSHOT_BIN_CHUNK_BYTES)
-                        .collect();
-                    let mut raw = Vec::with_capacity(repl.snapshot_bytes.len() + chunks.len() * 8);
-                    for chunk in &chunks {
-                        raw.extend_from_slice(&frame(chunk));
-                    }
-                    return ReplReply {
-                        lines: vec![format!(
-                            "OK REPL SNAPSHOT BIN epoch={} offset={} bytes={} chunks={}",
-                            repl.epoch,
-                            repl.snapshot_offset,
-                            repl.snapshot_bytes.len(),
-                            chunks.len()
-                        )],
-                        raw,
-                    };
+                if !matches!(&tokens[2..], [t] if t.eq_ignore_ascii_case("BIN")) {
+                    return ReplReply::text(vec!["ERR REPL usage: REPL SNAPSHOT BIN".to_string()]);
                 }
-                let chunks: Vec<&[u8]> = repl.snapshot_bytes.chunks(SNAPSHOT_CHUNK_BYTES).collect();
-                let mut lines = Vec::with_capacity(chunks.len() + 1);
-                lines.push(format!(
-                    "OK REPL SNAPSHOT epoch={} offset={} bytes={} chunks={}",
-                    repl.epoch,
-                    repl.snapshot_offset,
-                    repl.snapshot_bytes.len(),
-                    chunks.len()
-                ));
-                for chunk in chunks {
-                    lines.push(format!("REPL CHUNK {}", to_hex(chunk)));
+                let chunks: Vec<&[u8]> = repl
+                    .snapshot_bytes
+                    .chunks(SNAPSHOT_BIN_CHUNK_BYTES)
+                    .collect();
+                let mut raw = Vec::with_capacity(repl.snapshot_bytes.len() + chunks.len() * 8);
+                for chunk in &chunks {
+                    raw.extend_from_slice(&frame(chunk));
                 }
-                ReplReply::text(lines)
+                ReplReply {
+                    lines: vec![format!(
+                        "OK REPL SNAPSHOT BIN epoch={} offset={} bytes={} chunks={}",
+                        repl.epoch,
+                        repl.snapshot_offset,
+                        repl.snapshot_bytes.len(),
+                        chunks.len()
+                    )],
+                    raw,
+                }
             }
             "FETCH" => {
-                let usage = || vec!["ERR REPL usage: REPL FETCH <from> <max> [BIN]".to_string()];
-                let (Some(Ok(from)), Some(Ok(max))) = (
-                    tokens.get(2).map(|t| t.parse::<u64>()),
-                    tokens.get(3).map(|t| t.parse::<u64>()),
-                ) else {
-                    return ReplReply::text(usage());
+                let usage = || {
+                    ReplReply::text(vec![
+                        "ERR REPL usage: REPL FETCH <from> <max> BIN".to_string()
+                    ])
                 };
-                let bin = match tokens.get(4) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("BIN") => true,
-                    Some(_) => return ReplReply::text(usage()),
+                let [_, _, from, max, bin] = tokens[..] else {
+                    return usage();
+                };
+                let (Ok(from), Ok(max), true) = (
+                    from.parse::<u64>(),
+                    max.parse::<u64>(),
+                    bin.eq_ignore_ascii_case("BIN"),
+                ) else {
+                    return usage();
                 };
                 if from < repl.mem_base {
                     return ReplReply::text(vec![format!(
@@ -905,36 +786,20 @@ impl ReplicatedBackend {
                 }
                 let start = (from - repl.mem_base) as usize;
                 let n = (repl.records.len() - start).min(max.min(MAX_FETCH_RECORDS) as usize);
-                if bin {
-                    let raw = encode_record_batch(&repl.records[start..start + n]);
-                    return ReplReply {
-                        lines: vec![format!(
-                            "OK REPL BATCH {} n={} next={} end={}",
-                            raw.len(),
-                            n,
-                            from + n as u64,
-                            repl.end()
-                        )],
-                        raw,
-                    };
+                let raw = encode_record_batch(&repl.records[start..start + n]);
+                ReplReply {
+                    lines: vec![format!(
+                        "OK REPL BATCH {} n={} next={} end={}",
+                        raw.len(),
+                        n,
+                        from + n as u64,
+                        repl.end()
+                    )],
+                    raw,
                 }
-                let mut lines = Vec::with_capacity(n + 1);
-                lines.push(format!(
-                    "OK REPL RECORDS n={} next={} end={}",
-                    n,
-                    from + n as u64,
-                    repl.end()
-                ));
-                for payload in &repl.records[start..start + n] {
-                    lines.push(format!(
-                        "REPL RECORD {}",
-                        to_hex(&wrap_checksummed(payload))
-                    ));
-                }
-                ReplReply::text(lines)
             }
             _ => ReplReply::text(vec![
-                "ERR REPL usage: REPL HELLO | REPL SNAPSHOT [BIN] | REPL FETCH <from> <max> [BIN]"
+                "ERR REPL usage: REPL HELLO | REPL SNAPSHOT BIN | REPL FETCH <from> <max> BIN"
                     .to_string(),
             ]),
         }
@@ -1022,7 +887,7 @@ impl ReplicatedBackend {
     /// (drop the connection, count the retry, back off) — a dead or
     /// hostile upstream must never panic the tailer.
     pub(crate) fn tail_once(&self) -> TailOutcome {
-        let (conn, from, upstream, epoch, auto_compact, feed, fetch_batch, gen) = {
+        let (conn, from, upstream, epoch, auto_compact, fetch_batch, gen) = {
             let mut repl = lock(&self.repl);
             if repl.role == Role::Primary {
                 return TailOutcome::Promoted;
@@ -1036,7 +901,6 @@ impl ReplicatedBackend {
                 upstream,
                 repl.epoch,
                 repl.auto_compact,
-                repl.feed,
                 repl.fetch_batch,
                 repl.tail_gen,
             )
@@ -1049,9 +913,8 @@ impl ReplicatedBackend {
                 // the spot when it does not gate admin verbs; a gated one
                 // answers `ERR DENIED`, which equally stops us tailing
                 // it) and our compact threshold (so a mismatch is refused
-                // here, not discovered as replay divergence), refuse to
-                // tail an upstream behind our own epoch, and negotiate
-                // the feed encoding from its `caps=` advertisement.
+                // here, not discovered as replay divergence), and refuse
+                // to tail an upstream behind our own epoch.
                 let Ok(mut client) = Client::connect(&upstream) else {
                     return self.tail_failed();
                 };
@@ -1066,31 +929,13 @@ impl ReplicatedBackend {
                     eprintln!("cdr-server: upstream {upstream} is stale ({hello}); not tailing it");
                     return self.tail_failed();
                 }
-                let bin = match feed {
-                    FeedMode::Text => false,
-                    FeedMode::Auto => hello_caps_bin(&hello),
-                    FeedMode::Bin => {
-                        if !hello_caps_bin(&hello) {
-                            eprintln!(
-                                "cdr-server: upstream {upstream} does not advertise caps=bin; \
-                                 --feed bin cannot tail it"
-                            );
-                            return self.tail_failed();
-                        }
-                        true
-                    }
-                };
-                {
+                if let Some(end) = field_u64(&hello, "end=") {
                     let mut repl = lock(&self.repl);
-                    if let Some(end) = field_u64(&hello, "end=") {
-                        repl.upstream_end = repl.upstream_end.max(end);
-                    }
-                    repl.feed_bin = bin;
+                    repl.upstream_end = repl.upstream_end.max(end);
                 }
                 TailConn {
                     client,
                     pending: None,
-                    bin,
                     gen,
                 }
             }
@@ -1107,19 +952,14 @@ impl ReplicatedBackend {
             None => {
                 if conn
                     .client
-                    .send_line(&fetch_request(from, fetch_batch, conn.bin))
+                    .send_line(&fetch_request(from, fetch_batch))
                     .is_err()
                 {
                     return self.tail_failed();
                 }
             }
         }
-        let reply = if conn.bin {
-            read_batch_reply(&mut conn.client)
-        } else {
-            read_records_reply(&mut conn.client)
-        };
-        let fetched = match reply {
+        let fetched = match read_batch_reply(&mut conn.client) {
             Ok(FetchReply::Compacted) => return self.rebootstrap(conn),
             Ok(FetchReply::Records(fetched)) => fetched,
             Err(Some(reason)) => {
@@ -1174,7 +1014,7 @@ impl ReplicatedBackend {
         if more {
             if conn
                 .client
-                .send_line(&fetch_request(fetched.next, fetch_batch, conn.bin))
+                .send_line(&fetch_request(fetched.next, fetch_batch))
                 .is_ok()
             {
                 conn.pending = Some(fetched.next);
@@ -1213,15 +1053,9 @@ impl ReplicatedBackend {
     }
 
     /// The tailer fell behind the upstream's snapshot horizon: fetch the
-    /// current snapshot (over the connection's negotiated feed) and
-    /// restart the engine from it.
+    /// current snapshot and restart the engine from it.
     fn rebootstrap(&self, mut conn: TailConn) -> TailOutcome {
-        let fetched = if conn.bin {
-            fetch_snapshot_bin(&mut conn.client)
-        } else {
-            fetch_snapshot(&mut conn.client)
-        };
-        let Ok((snapshot_bytes, snapshot, wire)) = fetched else {
+        let Ok((snapshot_bytes, snapshot, wire)) = fetch_snapshot_bin(&mut conn.client) else {
             return self.tail_failed();
         };
         let Snapshot {
@@ -1252,7 +1086,7 @@ impl ReplicatedBackend {
     }
 }
 
-/// A fetched record batch, whichever encoding it travelled in.
+/// A fetched record batch.
 struct Fetched {
     /// The record payloads, in offset order.
     payloads: Vec<Vec<u8>>,
@@ -1272,40 +1106,10 @@ enum FetchReply {
     Compacted,
 }
 
-/// Reads a textual `OK REPL RECORDS` reply.  `Err(Some(reason))` is a
-/// loggable feed defect, `Err(None)` a plain I/O failure.
-fn read_records_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
-    let header = client.read_line().map_err(|_| None)?;
-    if header.starts_with("ERR REPL COMPACTED") {
-        return Ok(FetchReply::Compacted);
-    }
-    let (Some(n), Some(next)) = (field_u64(&header, "n="), field_u64(&header, "next=")) else {
-        return Err(Some(format!("unexpected fetch reply: {header}")));
-    };
-    let mut wire = header.len() as u64 + 1;
-    let mut payloads = Vec::with_capacity(n.min(MAX_FETCH_RECORDS) as usize);
-    for _ in 0..n {
-        let line = client.read_line().map_err(|_| None)?;
-        wire += line.len() as u64 + 1;
-        let Some(hex) = line.strip_prefix("REPL RECORD ") else {
-            return Err(Some(format!("expected a REPL RECORD line, got: {line}")));
-        };
-        let bytes = from_hex(hex).map_err(|e| Some(feed_frame_error(&e.to_string())))?;
-        let payload =
-            unwrap_checksummed(&bytes).map_err(|e| Some(feed_frame_error(&e.to_string())))?;
-        payloads.push(payload.to_vec());
-    }
-    Ok(FetchReply::Records(Fetched {
-        payloads,
-        next,
-        upstream_end: field_u64(&header, "end="),
-        wire,
-    }))
-}
-
-/// Reads a binary `OK REPL BATCH <len> …` reply: the header line, then
-/// `len` raw bytes decoded through the strict all-or-nothing batch
-/// codec.  An oversize header is refused before any allocation.
+/// Reads an `OK REPL BATCH <len> …` reply: the header line, then `len`
+/// raw bytes decoded through the strict all-or-nothing batch codec.
+/// `Err(Some(reason))` is a loggable feed defect, `Err(None)` a plain
+/// I/O failure.  An oversize header is refused before any allocation.
 fn read_batch_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
     let header = client.read_line().map_err(|_| None)?;
     if header.starts_with("ERR REPL COMPACTED") {
@@ -1344,44 +1148,13 @@ fn read_batch_reply(client: &mut Client) -> Result<FetchReply, Option<String>> {
     }))
 }
 
-/// Pulls and reassembles the upstream's snapshot over the textual hex
-/// chunk protocol: the raw bytes (served verbatim to any downstream
-/// follower), the decoded image, and the wire bytes it cost.
-fn fetch_snapshot(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), ReplogError> {
-    let header = client.send("REPL SNAPSHOT")?;
-    let (Some(bytes), Some(chunks)) = (field_u64(&header, "bytes="), field_u64(&header, "chunks="))
-    else {
-        return Err(ReplogError::Diverged(format!(
-            "upstream refused the snapshot: {header}"
-        )));
-    };
-    let mut assembled = Vec::with_capacity(bytes as usize);
-    let mut wire = header.len() as u64 + 1;
-    for _ in 0..chunks {
-        let line = client.read_line()?;
-        wire += line.len() as u64 + 1;
-        let Some(hex) = line.strip_prefix("REPL CHUNK ") else {
-            return Err(ReplogError::Diverged(format!(
-                "expected a REPL CHUNK line, got: {line}"
-            )));
-        };
-        assembled.extend_from_slice(&from_hex(hex)?);
-    }
-    if assembled.len() as u64 != bytes {
-        return Err(ReplogError::Diverged(format!(
-            "snapshot reassembled to {} bytes, header promised {bytes}",
-            assembled.len()
-        )));
-    }
-    let snapshot = Snapshot::decode(&assembled)?;
-    Ok((assembled, snapshot, wire))
-}
-
-/// Pulls and reassembles the upstream's snapshot over the binary chunk
-/// protocol (`REPL SNAPSHOT BIN`): each chunk is one
+/// Pulls and reassembles the upstream's snapshot (`REPL SNAPSHOT BIN`):
+/// the raw bytes (served verbatim to any downstream follower), the
+/// decoded image, and the wire bytes it cost.  Each chunk is one
 /// `[len ‖ crc32 ‖ payload]` frame of raw bytes, CRC-checked as it
-/// lands.  A chunk header promising more than the frame cap is refused
-/// before any allocation.
+/// lands.  A chunk header promising more than the frame cap, or more
+/// than the reply header's `bytes=` leaves room for, is refused before
+/// its payload is read — a hostile `chunks=` buys no buffering.
 fn fetch_snapshot_bin(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), ReplogError> {
     let header = client.send("REPL SNAPSHOT BIN")?;
     let (Some(bytes), Some(chunks)) = (field_u64(&header, "bytes="), field_u64(&header, "chunks="))
@@ -1399,6 +1172,12 @@ fn fetch_snapshot_bin(client: &mut Client) -> Result<(Vec<u8>, Snapshot, u64), R
         if len > MAX_CHUNK_FRAME_BYTES {
             return Err(ReplogError::Diverged(format!(
                 "snapshot chunk of {len} bytes exceeds the {MAX_CHUNK_FRAME_BYTES}-byte cap"
+            )));
+        }
+        if (assembled.len() + len) as u64 > bytes {
+            return Err(ReplogError::Diverged(format!(
+                "snapshot chunk of {len} bytes overruns bytes={bytes} after {} bytes",
+                assembled.len()
             )));
         }
         let payload = client.read_exact(len)?;
@@ -1461,16 +1240,17 @@ mod tests {
         let hello = &backend.repl("REPL HELLO", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=3 snap=3 role=primary compact=off caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=3 snap=3 role=primary compact=off"
         );
         // In-memory records are retained across the snapshot for tailers.
-        let fetched = backend.repl("REPL FETCH 0 64", true).lines;
-        assert!(
-            fetched[0].starts_with("OK REPL RECORDS n=3 "),
-            "{}",
-            fetched[0]
+        let fetched = backend.repl("REPL FETCH 0 64 BIN", true);
+        assert_eq!(
+            field_u64(&fetched.lines[0], "n="),
+            Some(3),
+            "{:?}",
+            fetched.lines
         );
-        assert_eq!(fetched.len(), 4);
+        assert_eq!(decode_record_batch(&fetched.raw).unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1572,12 +1352,26 @@ mod tests {
     fn repl_fetch_bounds_are_enforced() {
         let dir = temp_dir("bounds");
         let backend = ReplicatedBackend::primary(seed(), &dir).unwrap();
-        assert!(backend.repl("REPL FETCH 5 4", true).lines[0].starts_with("ERR REPL RANGE "));
-        assert!(backend.repl("REPL FETCH x 4", true).lines[0].starts_with("ERR REPL usage"));
+        assert!(backend.repl("REPL FETCH 5 4 BIN", true).lines[0].starts_with("ERR REPL RANGE "));
+        assert!(backend.repl("REPL FETCH x 4 BIN", true).lines[0].starts_with("ERR REPL usage"));
         assert!(backend.repl("REPL NONSENSE", true).lines[0].starts_with("ERR REPL usage"));
+        let empty = backend.repl("REPL FETCH 0 10 BIN", true);
+        assert_eq!(
+            empty.lines,
+            vec![format!(
+                "OK REPL BATCH {} n=0 next=0 end=0",
+                empty.raw.len()
+            )]
+        );
+        assert!(decode_record_batch(&empty.raw).unwrap().is_empty());
+        // The feed has one encoding: the bare forms are usage errors.
         assert_eq!(
             backend.repl("REPL FETCH 0 10", true).lines,
-            vec!["OK REPL RECORDS n=0 next=0 end=0".to_string()]
+            vec!["ERR REPL usage: REPL FETCH <from> <max> BIN".to_string()]
+        );
+        assert_eq!(
+            backend.repl("REPL SNAPSHOT", true).lines,
+            vec!["ERR REPL usage: REPL SNAPSHOT BIN".to_string()]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1609,7 +1403,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=0", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=off caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=off"
         );
         assert!(backend
             .mutate(insert("Employee(9, 'Flux', 'Ops')"), None)
@@ -1620,7 +1414,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=3", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=1 snap=0 role=primary compact=off caps=bin fenced=3"
+            "OK REPL HELLO epoch=0 base=0 end=1 snap=0 role=primary compact=off fenced=3"
         );
         assert_eq!(
             backend.mutate(insert("Employee(9, 'Nope', 'Ops')"), None),
@@ -1690,7 +1484,7 @@ mod tests {
         let hello = &backend.repl("REPL HELLO epoch=0 compact=16", true).lines[0];
         assert_eq!(
             hello,
-            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=16 caps=bin"
+            "OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=16"
         );
         // A refused handshake never fences: the epoch check runs after.
         assert_eq!(
@@ -1721,31 +1515,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn the_served_snapshot_round_trips() {
-        let dir = temp_dir("snapshot");
-        let backend = ReplicatedBackend::primary(seed(), &dir).unwrap();
-        let lines = backend.repl("REPL SNAPSHOT", true).lines;
-        let bytes = field_u64(&lines[0], "bytes=").unwrap();
-        let mut assembled = Vec::new();
-        for line in &lines[1..] {
-            assembled
-                .extend_from_slice(&from_hex(line.strip_prefix("REPL CHUNK ").unwrap()).unwrap());
-        }
-        assert_eq!(assembled.len() as u64, bytes);
-        let snapshot = Snapshot::decode(&assembled).unwrap();
-        backend.read(|engine| {
-            assert_eq!(&snapshot.db, engine.database());
-            assert_eq!(&snapshot.keys, engine.keys());
-            assert_eq!(snapshot.generation, engine.generation());
-        });
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The binary forms carry the same payloads the textual forms do:
-    /// `FETCH … BIN` answers one batch frame whose records match the hex
-    /// lines byte for byte, and `SNAPSHOT BIN` chunks reassemble to the
-    /// exact snapshot image.
+    /// `FETCH … BIN` answers one batch frame whose records match the
+    /// on-disk log byte for byte, and `SNAPSHOT BIN` chunks reassemble to
+    /// the engine's database, keys and generation.
     #[test]
     fn the_binary_fetch_and_snapshot_round_trip() {
         let dir = temp_dir("bin");
@@ -1764,13 +1536,10 @@ mod tests {
         assert_eq!(field_u64(&header, "next="), Some(2));
         assert_eq!(field_u64(&header, "end="), Some(2));
         let payloads = decode_record_batch(&reply.raw).unwrap();
-        assert_eq!(payloads.len(), 2);
-        let textual = backend.repl("REPL FETCH 0 64", true).lines;
-        for (payload, line) in payloads.iter().zip(&textual[1..]) {
-            let bytes = from_hex(line.strip_prefix("REPL RECORD ").unwrap()).unwrap();
-            assert_eq!(payload.as_slice(), unwrap_checksummed(&bytes).unwrap());
-        }
+        assert_eq!(payloads, read_log_payloads(&dir.join(LOG_FILE)).unwrap());
 
+        // Compaction refreshes the served snapshot to the engine's state.
+        backend.compact().unwrap();
         let reply = backend.repl("REPL SNAPSHOT BIN", true);
         let header = reply.lines[0].clone();
         assert!(header.starts_with("OK REPL SNAPSHOT BIN "), "{header}");
@@ -1787,15 +1556,12 @@ mod tests {
         }
         assert!(rest.is_empty(), "no trailing bytes after the last chunk");
         assert_eq!(assembled.len() as u64, bytes);
-        Snapshot::decode(&assembled).unwrap();
-        // Byte-identical to what the textual hex chunks carry.
-        let textual = backend.repl("REPL SNAPSHOT", true).lines;
-        let mut hex_assembled = Vec::new();
-        for line in &textual[1..] {
-            hex_assembled
-                .extend_from_slice(&from_hex(line.strip_prefix("REPL CHUNK ").unwrap()).unwrap());
-        }
-        assert_eq!(assembled, hex_assembled);
+        let snapshot = Snapshot::decode(&assembled).unwrap();
+        backend.read(|engine| {
+            assert_eq!(&snapshot.db, engine.database());
+            assert_eq!(&snapshot.keys, engine.keys());
+            assert_eq!(snapshot.generation, engine.generation());
+        });
 
         // Malformed binary forms draw the usage lines.
         assert!(backend.repl("REPL FETCH 0 64 NOPE", true).lines[0].starts_with("ERR REPL usage"));

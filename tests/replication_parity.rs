@@ -7,9 +7,9 @@
 //! same randomly driven primary:
 //!
 //! * the primary itself,
-//! * a follower that bootstrapped from `REPL SNAPSHOT` and tailed the
-//!   log (through mutations, rejected commands, batches and replicated
-//!   compactions),
+//! * two followers that bootstrapped from `REPL SNAPSHOT BIN` and
+//!   tailed the log (through mutations, rejected commands, batches and
+//!   replicated compactions) at different fetch batch sizes,
 //! * a cold-restarted instance recovered from the snapshot plus the
 //!   post-snapshot log suffix,
 //!
@@ -116,10 +116,9 @@ proptest! {
 
     /// Property: follower divergence is impossible.  After any random
     /// command stream — valid and invalid mutations, batches, manual and
-    /// automatic compactions — the primary, a binary-fed tailing
-    /// follower, a hex-fed tailing follower and a cold-restarted
-    /// instance answer the read battery byte-identically, and their
-    /// `STATS` gauge heads agree.
+    /// automatic compactions — the primary, two tailing followers and a
+    /// cold-restarted instance answer the read battery byte-identically,
+    /// and their `STATS` gauge heads agree.
     #[test]
     fn prop_follower_divergence_is_impossible(
         seed in 0u64..10_000,
@@ -133,23 +132,22 @@ proptest! {
         let primary_addr = primary.addr().to_string();
 
         // Both followers tail live while the trace is still being
-        // driven: one over the binary feed, one over the hex fallback
-        // (with a small fetch batch so multi-round catch-up is part of
-        // the property).
+        // driven, one of them with a small fetch batch so multi-round
+        // catch-up is part of the property.
         let backend = ReplicatedBackend::follower_with(
-            &primary_addr, Some(16), FeedMode::Bin, 32, |engine| engine,
-        ).expect("bootstrap binary");
+            &primary_addr, Some(16), 32, |engine| engine,
+        ).expect("bootstrap follower");
         let mut follower_config = test_config();
         follower_config.auto_compact = Some(16);
         let follower =
             Server::start_replicated(backend, follower_config).expect("bind follower");
         let backend = ReplicatedBackend::follower_with(
-            &primary_addr, Some(16), FeedMode::Text, 5, |engine| engine,
-        ).expect("bootstrap textual");
+            &primary_addr, Some(16), 5, |engine| engine,
+        ).expect("bootstrap small-batch follower");
         let mut follower_config = test_config();
         follower_config.auto_compact = Some(16);
-        let hex_follower =
-            Server::start_replicated(backend, follower_config).expect("bind hex follower");
+        let small_follower =
+            Server::start_replicated(backend, follower_config).expect("bind small-batch follower");
 
         let mut client = Client::connect(primary.addr()).expect("connect primary");
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -169,17 +167,14 @@ proptest! {
         let primary_battery = battery_replies(&mut client);
 
         // Both tailing followers converge to the same bytes — and each
-        // surfaces the encoding it actually negotiated.
-        let mut reader = Client::connect(follower.addr()).expect("connect follower");
-        let follower_stats = wait_for_offset(&mut reader, target);
-        prop_assert_eq!(stats_head(&primary_stats), stats_head(&follower_stats));
-        prop_assert!(follower_stats.contains(" feed=bin bytes="), "{}", follower_stats);
-        prop_assert_eq!(&primary_battery, &battery_replies(&mut reader));
-        let mut hex_reader = Client::connect(hex_follower.addr()).expect("connect hex follower");
-        let hex_stats = wait_for_offset(&mut hex_reader, target);
-        prop_assert_eq!(stats_head(&primary_stats), stats_head(&hex_stats));
-        prop_assert!(hex_stats.contains(" feed=text bytes="), "{}", hex_stats);
-        prop_assert_eq!(&primary_battery, &battery_replies(&mut hex_reader));
+        // counts the wire bytes its feed cost.
+        for server in [&follower, &small_follower] {
+            let mut reader = Client::connect(server.addr()).expect("connect follower");
+            let follower_stats = wait_for_offset(&mut reader, target);
+            prop_assert_eq!(stats_head(&primary_stats), stats_head(&follower_stats));
+            prop_assert!(stat_u64(&follower_stats, "bytes=") > 0, "{}", follower_stats);
+            prop_assert_eq!(&primary_battery, &battery_replies(&mut reader));
+        }
 
         // The cold-restarted instance recovers to the same bytes,
         // replaying only the post-snapshot suffix.
@@ -200,8 +195,8 @@ proptest! {
         prop_assert_eq!(restarted.join().recovered_panics, 0);
         follower.shutdown();
         prop_assert_eq!(follower.join().recovered_panics, 0);
-        hex_follower.shutdown();
-        prop_assert_eq!(hex_follower.join().recovered_panics, 0);
+        small_follower.shutdown();
+        prop_assert_eq!(small_follower.join().recovered_panics, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -76,10 +76,8 @@ fn start_fuzz_server(
     }
 }
 
-/// Reads the rest of a multi-line `REPL` reply whose header announces
-/// `n=`/`chunks=` continuation lines — or, for the binary forms, the
-/// raw body whose byte count the header announces — so the connection
-/// never desyncs.
+/// Reads the raw body an `OK REPL BATCH` or `OK REPL SNAPSHOT BIN`
+/// header announces, so the connection never desyncs.
 fn drain_repl_reply(client: &mut Client, header: &str) {
     if let Some(rest) = header.strip_prefix("OK REPL BATCH ") {
         let len = rest
@@ -96,23 +94,6 @@ fn drain_repl_reply(client: &mut Client, header: &str) {
         client
             .read_exact(bytes as usize + 8 * chunks as usize)
             .expect("announced snapshot chunks");
-        return;
-    }
-    let continuation = header
-        .split_whitespace()
-        .find_map(|token| {
-            token
-                .strip_prefix("n=")
-                .or_else(|| token.strip_prefix("chunks="))
-        })
-        .and_then(|value| value.parse::<usize>().ok())
-        .unwrap_or(0);
-    for _ in 0..continuation {
-        let line = client.read_line().expect("announced REPL line");
-        assert!(
-            line.starts_with("REPL RECORD ") || line.starts_with("REPL CHUNK "),
-            "{line}"
-        );
     }
 }
 
@@ -289,11 +270,11 @@ proptest! {
                     let reply = client.read_line().expect("reassembled line");
                     prop_assert!(reply.starts_with("OK STATS "), "{}", reply);
                 }
-                // Garbage / partial REPL frames: corrupt hex records, bad
-                // cursors, truncated subcommands.  Non-replicated backends
-                // refuse the verb, a replicated primary answers in
-                // protocol — nobody panics, and multi-line replies are
-                // drained so the session never desyncs.
+                // Garbage / partial REPL frames: forged feed lines, bad
+                // cursors, truncated subcommands, forms missing `BIN`.
+                // Non-replicated backends refuse the verb, a replicated
+                // primary answers in protocol — nobody panics, and raw
+                // reply bodies are drained so the session never desyncs.
                 8 => {
                     let garbage = [
                         "REPL",
@@ -506,12 +487,12 @@ fn abrupt_disconnect_mid_batch_leaves_engine_untouched() {
     assert_eq!(server.join().recovered_panics, 0);
 }
 
-/// A scripted hostile upstream for the binary replication feed: it
-/// handshakes like a binary-capable primary, then serves one defective
-/// `REPL FETCH … BIN` reply per connection — a flipped payload byte, a
-/// flipped checksum byte, a mid-frame disconnect after half the promised
-/// bytes, an oversize `BATCH <len>` header, and a frame whose header
-/// lies about the record count.  The tailer must degrade to
+/// A scripted hostile upstream for the replication feed: it handshakes
+/// like a primary, then serves one defective `REPL FETCH … BIN` reply
+/// per connection — a flipped payload byte, a flipped checksum byte, a
+/// mid-frame disconnect after half the promised bytes, an oversize
+/// `BATCH <len>` header, and a frame whose header lies about the record
+/// count.  The tailer must degrade to
 /// idle-and-retry on every one of them: one retry counted per defect,
 /// zero records applied, no panic — and it recovers fully once
 /// retargeted back at the real primary.
@@ -531,14 +512,9 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
             .expect("insert");
         assert!(reply.starts_with("OK INSERT "), "{reply}");
     }
-    let follower_backend = ReplicatedBackend::follower_with(
-        &primary.addr().to_string(),
-        None,
-        FeedMode::Bin,
-        64,
-        |engine| engine,
-    )
-    .expect("bootstrap");
+    let follower_backend =
+        ReplicatedBackend::follower(&primary.addr().to_string(), None, |engine| engine)
+            .expect("bootstrap");
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
     let fake_addr = listener.local_addr().expect("fake addr").to_string();
@@ -559,7 +535,7 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
                     stream
                         .write_all(
                             b"OK REPL HELLO epoch=0 base=0 end=9 snap=0 role=primary \
-                              compact=off caps=bin\n",
+                              compact=off\n",
                         )
                         .ok();
                 } else if line.starts_with("REPL FETCH") {
@@ -661,7 +637,7 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
     hostile.join().expect("hostile upstream thread exits");
 
     // Retargeted at the real primary, the degraded tailer recovers and
-    // keeps tailing over the binary feed.
+    // keeps tailing, counting the wire bytes it fetches.
     let real_addr = primary.addr().to_string();
     assert_eq!(
         reader
@@ -676,7 +652,10 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
     loop {
         let stats = reader.send("STATS").expect("STATS");
         if stat_field(&stats, "end=").is_some_and(|end| end >= target) {
-            assert!(stats.contains(" feed=bin bytes="), "{stats}");
+            assert!(
+                stat_field(&stats, "bytes=").is_some_and(|b| b > 0),
+                "{stats}"
+            );
             break;
         }
         assert!(
@@ -695,4 +674,50 @@ fn a_hostile_binary_upstream_never_panics_the_tailer() {
     primary.shutdown();
     assert_eq!(primary.join().recovered_panics, 0);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A hostile upstream whose snapshot header promises `bytes=10` over
+/// `chunks=3`, then streams 8-byte chunks: the follower must refuse at
+/// the chunk that overruns `bytes=`, naming the overrun, rather than
+/// read every promised chunk first — a header with `chunks=1000000`
+/// must buy no buffering.
+#[test]
+fn a_snapshot_overrunning_its_header_is_refused_at_the_first_extra_chunk() {
+    use repair_count::counting::replog::frame;
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
+    let fake_addr = listener.local_addr().expect("fake addr").to_string();
+    let hostile = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the follower dials in");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap_or(0) > 0 {
+            if line.starts_with("REPL HELLO") {
+                stream
+                    .write_all(
+                        b"OK REPL HELLO epoch=0 base=0 end=0 snap=0 role=primary compact=off\n",
+                    )
+                    .ok();
+            } else if line.starts_with("REPL SNAPSHOT") {
+                stream
+                    .write_all(b"OK REPL SNAPSHOT BIN epoch=0 offset=0 bytes=10 chunks=3\n")
+                    .ok();
+                stream.write_all(&frame(&[0xAB; 8])).ok();
+                stream.write_all(&frame(&[0xCD; 8])).ok();
+                return; // close without the third chunk
+            }
+            line.clear();
+        }
+    });
+
+    let refused = ReplicatedBackend::follower(&fake_addr, None, |engine| engine).err();
+    hostile.join().expect("hostile upstream thread exits");
+    match refused {
+        Some(ReplogError::Diverged(why)) => assert_eq!(
+            why,
+            "snapshot chunk of 8 bytes overruns bytes=10 after 8 bytes"
+        ),
+        other => panic!("expected the named overrun, got {other:?}"),
+    }
 }

@@ -468,59 +468,6 @@ fn admin_token_gates_shutdown_and_chaos_verbs() {
     assert_eq!(stats.recovered_panics, 0, "every denial was a reply");
 }
 
-/// Regression for the permit-pool audit: an overloaded batch pool
-/// answers `ERR BUSY` immediately, and the permit always comes back when
-/// the admitted batch finishes — the pool must not leak.
-#[test]
-fn batch_overload_draws_server_busy_and_recovers() {
-    let server = start_server(employee_engine(), |config| {
-        config.batch_permits = 1;
-        config.workers = 4;
-    });
-    let addr = server.addr();
-
-    // Client A occupies the only batch permit for ~1.2 s.
-    let occupant = thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("connect");
-        client
-            .send_batch(&["SLEEP 1200", "COUNT auto EXISTS n . Employee(2, n, 'IT')"])
-            .expect("batch")
-    });
-    thread::sleep(Duration::from_millis(300));
-
-    // Client B is refused immediately; plain queries bypass batch
-    // admission and keep working on the same connection.
-    let mut probe = Client::connect(addr).expect("connect");
-    let refused = probe
-        .send_batch(&["COUNT auto EXISTS n . Employee(2, n, 'IT')"])
-        .expect("probe batch");
-    assert_eq!(refused.len(), 1);
-    assert!(
-        refused[0].starts_with("ERR BUSY SERVER BUSY"),
-        "{}",
-        refused[0]
-    );
-    let reply = probe
-        .send("COUNT auto EXISTS n . Employee(2, n, 'IT')")
-        .expect("plain query");
-    assert!(reply.starts_with("OK COUNT 4 "), "{reply}");
-
-    let replies = occupant.join().expect("occupant panicked");
-    assert_eq!(replies[0], "OK BATCH 2");
-
-    // The finished batch returned its permit: the retry is admitted.
-    let retried = probe
-        .send_batch(&["COUNT auto EXISTS n . Employee(2, n, 'IT')"])
-        .expect("retry batch");
-    assert_eq!(retried[0], "OK BATCH 1");
-    assert!(retried[1].starts_with("OK COUNT 4 "), "{}", retried[1]);
-
-    server.shutdown();
-    let stats = server.join();
-    assert!(stats.busy_rejections >= 1);
-    assert_eq!(stats.recovered_panics, 0);
-}
-
 /// `QUIT` closes one session; `SHUTDOWN` drains the whole server and
 /// `join` returns its final counters.
 #[test]
