@@ -3,69 +3,28 @@
 //! * For existential positive queries, Lemma 3.5 reduces the question to the
 //!   existence of a single certificate: some disjunct `Qᵢ` has a
 //!   homomorphism `h` with `h(Qᵢ) ⊆ D` and `h(Qᵢ) ⊨ Σ`.  This is the
-//!   logspace procedure behind Theorem 3.4 ("`#CQA>0(∃FO⁺)` is in L").
+//!   logspace procedure behind Theorem 3.4 ("`#CQA>0(∃FO⁺)` is in L"); the
+//!   [`crate::RepairEngine`] answers it from the certificates its plan
+//!   cache already holds.
 //! * For arbitrary first-order queries the problem is NP-complete
-//!   (Theorem 3.2); the implementation is the obvious witness search —
-//!   enumerate repairs and stop at the first one that satisfies the query.
+//!   (Theorem 3.2); [`holds_in_some_repair_fo_bounded`] is the obvious
+//!   witness search — enumerate repairs and stop at the first one that
+//!   satisfies the query.
 
-use cdr_query::{evaluate, rewrite_to_ucq, Query, QueryClass, UcqQuery};
-use cdr_repairdb::{BlockPartition, Database, KeySet, RepairIter};
+use cdr_query::{evaluate, Query};
+use cdr_repairdb::{BlockPartition, Database, RepairIter};
 
-use crate::{enumerate_certificates, CountError};
-
-/// Decides `#CQA>0(Q, Σ)` for an arbitrary Boolean first-order query,
-/// dispatching to the certificate-based procedure when the query is
-/// existential positive.
-pub fn holds_in_some_repair(
-    db: &Database,
-    keys: &KeySet,
-    query: &Query,
-) -> Result<bool, CountError> {
-    match query.classify() {
-        QueryClass::FirstOrder => holds_in_some_repair_fo(db, keys, query),
-        _ => {
-            let ucq = rewrite_to_ucq(query)?;
-            holds_in_some_repair_ucq(db, keys, &ucq)
-        }
-    }
-}
-
-/// The Lemma 3.5 procedure: a repair entailing the UCQ exists iff some
-/// disjunct has a homomorphism whose image is key-consistent.
-pub fn holds_in_some_repair_ucq(
-    db: &Database,
-    keys: &KeySet,
-    ucq: &UcqQuery,
-) -> Result<bool, CountError> {
-    let blocks = BlockPartition::new(db, keys);
-    // Enumerating all certificates is more work than strictly needed for the
-    // decision problem, but keeps a single code path; the first certificate
-    // suffices as a witness.
-    let certificates = enumerate_certificates(db, keys, &blocks, ucq)?;
-    Ok(!certificates.is_empty())
-}
+use crate::CountError;
 
 /// The NP witness search of Theorem 3.2: guess a repair, verify the query.
 ///
-/// The implementation enumerates repairs in `≺_{D,Σ}` order with early
-/// exit; it is exponential in the worst case, as expected for an
-/// NP-complete problem.
-pub fn holds_in_some_repair_fo(
-    db: &Database,
-    keys: &KeySet,
-    query: &Query,
-) -> Result<bool, CountError> {
-    let blocks = BlockPartition::new(db, keys);
-    holds_in_some_repair_fo_bounded(db, &blocks, query, u64::MAX)
-}
-
-/// The witness search of [`holds_in_some_repair_fo`] over an
-/// already-computed block partition, visiting at most `budget` repairs
-/// before failing with [`CountError::ExactBudgetExceeded`].
-///
-/// This is the single implementation both the free function above and the
-/// [`crate::RepairEngine`] decision path share.
-pub fn holds_in_some_repair_fo_bounded(
+/// Enumerates the repairs of an already-computed block partition in
+/// `≺_{D,Σ}` order with early exit, visiting at most `budget` repairs
+/// before failing with [`CountError::ExactBudgetExceeded`]; it is
+/// exponential in the worst case, as expected for an NP-complete problem.
+/// The engine's decision path calls it for first-order queries and for a
+/// forced [`crate::Strategy::Enumeration`].
+pub(crate) fn holds_in_some_repair_fo_bounded(
     db: &Database,
     blocks: &BlockPartition,
     query: &Query,
@@ -86,88 +45,4 @@ pub fn holds_in_some_repair_fo_bounded(
         }
     }
     Ok(false)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cdr_query::parse_query;
-    use cdr_repairdb::Schema;
-
-    fn employee() -> (Database, KeySet) {
-        let mut schema = Schema::new();
-        schema.add_relation("Employee", 3).unwrap();
-        let keys = KeySet::builder(&schema).key("Employee", 1).unwrap().build();
-        let mut db = Database::new(schema);
-        db.insert_parsed("Employee(1, 'Bob', 'HR')").unwrap();
-        db.insert_parsed("Employee(1, 'Bob', 'IT')").unwrap();
-        db.insert_parsed("Employee(2, 'Alice', 'IT')").unwrap();
-        db.insert_parsed("Employee(2, 'Tim', 'IT')").unwrap();
-        (db, keys)
-    }
-
-    #[test]
-    fn example_query_is_possible_but_not_certain() {
-        let (db, keys) = employee();
-        let q = parse_query("EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)").unwrap();
-        assert!(holds_in_some_repair(&db, &keys, &q).unwrap());
-    }
-
-    #[test]
-    fn impossible_queries_are_rejected() {
-        let (db, keys) = employee();
-        // No repair contains employee 3.
-        let q = parse_query("EXISTS x, y . Employee(3, x, y)").unwrap();
-        assert!(!holds_in_some_repair(&db, &keys, &q).unwrap());
-        // No repair contains both departments for Bob simultaneously.
-        let q = parse_query("Employee(1, 'Bob', 'HR') AND Employee(1, 'Bob', 'IT')").unwrap();
-        assert!(!holds_in_some_repair(&db, &keys, &q).unwrap());
-    }
-
-    #[test]
-    fn fo_and_ucq_procedures_agree_on_positive_queries() {
-        let (db, keys) = employee();
-        let queries = [
-            "EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)",
-            "EXISTS x, y . Employee(3, x, y)",
-            "Employee(1, 'Bob', 'HR')",
-            "Employee(1, 'Bob', 'HR') AND Employee(2, 'Tim', 'IT')",
-            "Employee(1, 'Bob', 'HR') AND Employee(1, 'Bob', 'IT')",
-            "TRUE",
-            "FALSE",
-        ];
-        for text in queries {
-            let q = parse_query(text).unwrap();
-            let ucq = rewrite_to_ucq(&q).unwrap();
-            assert_eq!(
-                holds_in_some_repair_fo(&db, &keys, &q).unwrap(),
-                holds_in_some_repair_ucq(&db, &keys, &ucq).unwrap(),
-                "decision mismatch for {text}"
-            );
-        }
-    }
-
-    #[test]
-    fn first_order_queries_use_the_witness_search() {
-        let (db, keys) = employee();
-        // "Some repair misses Bob entirely" — false, every repair keeps one
-        // Bob fact.
-        let q = parse_query("NOT EXISTS d . Employee(1, 'Bob', d)").unwrap();
-        assert!(!holds_in_some_repair(&db, &keys, &q).unwrap());
-        // "Some repair has nobody in HR" — true (choose Bob→IT).
-        let q = parse_query("NOT EXISTS i, n . Employee(i, n, 'HR')").unwrap();
-        assert!(holds_in_some_repair(&db, &keys, &q).unwrap());
-    }
-
-    #[test]
-    fn empty_database_decision() {
-        let mut schema = Schema::new();
-        schema.add_relation("R", 1).unwrap();
-        let keys = KeySet::builder(&schema).key("R", 1).unwrap().build();
-        let db = Database::new(schema);
-        let q = parse_query("EXISTS x . R(x)").unwrap();
-        assert!(!holds_in_some_repair(&db, &keys, &q).unwrap());
-        let t = parse_query("TRUE").unwrap();
-        assert!(holds_in_some_repair(&db, &keys, &t).unwrap());
-    }
 }

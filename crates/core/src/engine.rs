@@ -30,9 +30,6 @@
 //! boxes pin *stable* block slots, which mutations to other relations never
 //! renumber).  The [`RepairEngine::cache_stats`] counters — hits, misses,
 //! evictions, invalidations — make all of this observable.
-//!
-//! The legacy [`crate::RepairCounter`] facade is a thin wrapper over this
-//! engine and is kept only for backwards compatibility.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -1679,10 +1676,13 @@ mod tests {
         assert_eq!(report.strategy, Strategy::CertificateBoxes);
         assert!(report.certificates.is_some());
         let negated = parse_query("NOT EXISTS i, n . Employee(i, n, 'HR')").unwrap();
-        let report = engine.run(&CountRequest::exact(negated)).unwrap();
+        let report = engine.run(&CountRequest::exact(negated.clone())).unwrap();
         assert_eq!(report.strategy, Strategy::Enumeration);
         assert_eq!(report.answer.as_count().unwrap().to_u64(), Some(2));
         assert!(report.certificates.is_none());
+        let report = engine.run(&CountRequest::frequency(negated)).unwrap();
+        assert_eq!(report.strategy, Strategy::Enumeration);
+        assert_eq!(report.answer.as_frequency().unwrap().to_string(), "1/2");
     }
 
     #[test]
@@ -1734,6 +1734,28 @@ mod tests {
                 .clone();
             assert_eq!(count == *engine.total_repairs(), expected, "{text}");
         }
+        // A consistent database is its own single repair: a query's
+        // frequency is 1 if it is certain and 0 otherwise.
+        let mut schema = Schema::new();
+        schema.add_relation("R", 2).unwrap();
+        let keys = KeySet::builder(&schema).key("R", 1).unwrap().build();
+        let mut db = Database::new(schema);
+        db.insert_parsed("R(1, 'a')").unwrap();
+        let consistent = RepairEngine::new(db, keys);
+        for (text, expected) in [("R(1, 'a')", true), ("R(1, 'b')", false)] {
+            let q = parse_query(text).unwrap();
+            let report = consistent
+                .run(&CountRequest::certain_answer(q.clone()))
+                .unwrap();
+            assert_eq!(report.answer.as_bool(), Some(expected), "{text}");
+            let report = consistent.run(&CountRequest::frequency(q)).unwrap();
+            let freq = report.answer.as_frequency().unwrap();
+            assert_eq!(
+                (freq.is_one(), freq.is_zero()),
+                (expected, !expected),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -1768,6 +1790,24 @@ mod tests {
         let q = parse_query("NOT EXISTS d . Employee(1, 'Bob', d)").unwrap();
         let report = engine.run(&CountRequest::decision(q)).unwrap();
         assert_eq!(report.answer.as_bool(), Some(false));
+        // An empty database has one, empty, repair: it satisfies TRUE and
+        // no existential query, whichever procedure decides.
+        let mut schema = Schema::new();
+        schema.add_relation("R", 1).unwrap();
+        let keys = KeySet::builder(&schema).key("R", 1).unwrap().build();
+        let empty = RepairEngine::new(Database::new(schema), keys);
+        for (text, expected) in [("TRUE", true), ("EXISTS x . R(x)", false)] {
+            for strategy in [Strategy::Enumeration, Strategy::CertificateBoxes] {
+                let request =
+                    CountRequest::decision(parse_query(text).unwrap()).with_strategy(strategy);
+                let report = empty.run(&request).unwrap();
+                assert_eq!(
+                    report.answer.as_bool(),
+                    Some(expected),
+                    "{text} {strategy:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1781,6 +1821,12 @@ mod tests {
             engine.run(&strict),
             Err(CountError::ExactBudgetExceeded { .. })
         ));
+        // The box strategy needs no enumeration for TRUE, so the same
+        // budget suffices.
+        let report = engine
+            .run(&strict.with_strategy(Strategy::CertificateBoxes))
+            .unwrap();
+        assert_eq!(report.answer.as_count().unwrap().to_u64(), Some(4));
         let capped = CountRequest::approximate(example_query(), 0.001, 0.05).with_sample_cap(100);
         let report = engine.run(&capped).unwrap();
         assert_eq!(report.samples_used, 100);

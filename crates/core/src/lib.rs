@@ -24,18 +24,13 @@
 //!
 //! Lower-level building blocks — certificates, selectors and boxes — are
 //! exposed because the Λ-hierarchy machinery in `cdr-lambda` reuses them.
-//!
-//! The legacy [`RepairCounter`] facade remains as a thin wrapper over the
-//! engine for backwards compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod certificates;
-mod counter;
 mod decision;
 mod error;
-mod frequency;
 
 /// The owned, cached request/report engine.
 pub mod engine;
@@ -51,11 +46,6 @@ pub mod wire;
 
 pub use approx::{ApproxConfig, ApproxCount, FprasEstimator, KarpLubyEstimator};
 pub use certificates::{distinct_boxes, enumerate_certificates, Certificate, SelectorBox};
-pub use counter::{CountOutcome, ExactStrategy, RepairCounter};
-pub use decision::{
-    holds_in_some_repair, holds_in_some_repair_fo, holds_in_some_repair_fo_bounded,
-    holds_in_some_repair_ucq,
-};
 pub use engine::{
     Answer, CacheStats, CompactionOutcome, CountReport, CountRequest, EngineCommand,
     EngineResponse, MutationReport, RepairEngine, Semantics, Strategy, DEFAULT_PLAN_CACHE_CAPACITY,
@@ -65,7 +55,6 @@ pub use exact::{
     count_by_boxes, count_by_enumeration, count_union_generic, count_union_of_boxes,
     count_union_of_boxes_with_total, GenericBox,
 };
-pub use frequency::{relative_frequency, relative_frequency_with};
 pub use replog::{LogOp, LogRecord, LogWriter, ReplogError};
 pub use wire::frame::{decode_bulk, encode_bulk, FrameError, BULK_VERSION};
 pub use wire::{parse_count_request, parse_engine_command, parse_mutation, WireError};

@@ -11,12 +11,13 @@
 //! the vertices (their color lists), and each pair `(e, ν)` is a box
 //! pinning the `k` vertices of `e` to the colors of `ν`.
 
-use cdr_core::{count_union_generic, CountError, RepairCounter};
+use cdr_core::{count_union_generic, CountError};
 use cdr_num::BigNat;
 use cdr_query::{parse_query, Query};
 use cdr_repairdb::{Database, KeySet, Schema, Value};
 
 use crate::compactor::{CompactOutput, Compactor, PinBox};
+use crate::reduction::count_via_engine;
 
 /// A hypergraph with per-vertex color lists and per-edge forbidden
 /// assignments.
@@ -257,10 +258,7 @@ impl ForbiddenColoring {
     /// Counts the forbidden colorings via the `#CQA` reduction.
     pub fn count_via_cqa(&self, budget: u64) -> Result<BigNat, CountError> {
         let (db, keys, query) = self.to_cqa_instance()?;
-        RepairCounter::new(&db, &keys)
-            .with_budget(budget)
-            .count(&query)
-            .map(|o| o.count)
+        count_via_engine(db, keys, query, budget)
     }
 }
 

@@ -25,7 +25,7 @@
 //! reduction is therefore parsimonious; [`reduce_compactor_to_cqa`] builds
 //! it and the tests check count preservation.
 
-use cdr_core::{CountError, RepairCounter};
+use cdr_core::{Answer, CountError, CountRequest, RepairEngine};
 use cdr_num::BigNat;
 use cdr_query::{parse_query, Query};
 use cdr_repairdb::{Database, KeySet, Schema, Value};
@@ -46,10 +46,29 @@ pub struct CqaInstance {
 impl CqaInstance {
     /// Counts the repairs of the instance that entail its query, exactly.
     pub fn count(&self, budget: u64) -> Result<BigNat, CountError> {
-        RepairCounter::new(&self.db, &self.keys)
-            .with_budget(budget)
-            .count(&self.query)
-            .map(|o| o.count)
+        count_via_engine(
+            self.db.clone(),
+            self.keys.clone(),
+            self.query.clone(),
+            budget,
+        )
+    }
+}
+
+/// Counts the repairs of `db` w.r.t. `keys` that entail `query`, exactly,
+/// enumerating at most `budget` repairs or assignments. Every reduction in
+/// this crate counts its constructed instance through here.
+pub(crate) fn count_via_engine(
+    db: Database,
+    keys: KeySet,
+    query: Query,
+    budget: u64,
+) -> Result<BigNat, CountError> {
+    let report =
+        RepairEngine::new(db, keys).run(&CountRequest::exact(query).with_budget(budget))?;
+    match report.answer {
+        Answer::Count(count) => Ok(count),
+        _ => unreachable!("exact semantics report a count"),
     }
 }
 
@@ -271,7 +290,7 @@ mod tests {
         let q =
             parse_query("Works(0, 'sales') OR (EXISTS x . Works(1, x) AND Works(2, x))").unwrap();
         let ucq = rewrite_to_ucq(&q).unwrap();
-        let original = RepairCounter::new(&db, &keys).count(&q).unwrap().count;
+        let original = count_via_engine(db.clone(), keys.clone(), q, 1_000_000).unwrap();
         let compactor = CqaCompactor::new(&db, &keys, &ucq).unwrap();
         assert_eq!(unfold_count(&compactor, 1_000_000).unwrap(), original);
         let instance = reduce_compactor_to_cqa(&compactor).unwrap();

@@ -19,10 +19,12 @@
 //! query iff its assignment satisfies the formula, so the reduction is
 //! parsimonious: `#3SAT(φ) = #CQA(Q, Σ)(D_φ)`.
 
-use cdr_core::{CountError, RepairCounter};
+use cdr_core::{CountError, CountRequest, RepairEngine};
 use cdr_num::BigNat;
 use cdr_query::{parse_query, Query};
 use cdr_repairdb::{Database, KeySet, Schema, Value};
+
+use crate::reduction::count_via_engine;
 
 /// A literal of a 3CNF clause: a variable index and its polarity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -135,17 +137,22 @@ impl Cnf3 {
     /// repairs of `D_φ` that satisfy the fixed query.
     pub fn count_models_via_cqa(&self, budget: u64) -> Result<BigNat, CountError> {
         let (db, keys, query) = self.to_cqa_instance()?;
-        RepairCounter::new(&db, &keys)
-            .with_budget(budget)
-            .count(&query)
-            .map(|o| o.count)
+        count_via_engine(db, keys, query, budget)
     }
 
     /// The decision version (`3SAT` as `#CQA>0(FO)`): is some repair a
     /// satisfying assignment?
     pub fn satisfiable_via_cqa(&self) -> Result<bool, CountError> {
         let (db, keys, query) = self.to_cqa_instance()?;
-        RepairCounter::new(&db, &keys).holds_in_some_repair(&query)
+        // Unbounded: an unsatisfiable formula makes the witness search
+        // visit all 2^n repairs, and under the engine's default budget
+        // one with 25 or more variables would be refused, not answered.
+        let report = RepairEngine::new(db, keys)
+            .run(&CountRequest::decision(query).with_budget(u64::MAX))?;
+        Ok(report
+            .answer
+            .as_bool()
+            .expect("decision semantics report a boolean"))
     }
 }
 

@@ -433,7 +433,7 @@ pub fn replication_battery() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdr_core::RepairCounter;
+    use cdr_core::{CountRequest, RepairEngine};
     use cdr_query::parse_query;
     use cdr_repairdb::BlockPartition;
 
@@ -441,10 +441,11 @@ mod tests {
     fn employee_example_matches_the_paper() {
         let (db, keys) = employee_example();
         assert_eq!(db.len(), 4);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(4));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(4));
         let q = parse_query("EXISTS x, y, z . Employee(1, x, y) AND Employee(2, z, y)").unwrap();
-        assert_eq!(counter.frequency(&q).unwrap().to_string(), "1/2");
+        let report = engine.run(&CountRequest::frequency(q)).unwrap();
+        assert_eq!(report.answer.as_frequency().unwrap().to_string(), "1/2");
     }
 
     #[test]
@@ -455,8 +456,8 @@ mod tests {
         assert_eq!(blocks.len(), 40);
         // Customers 0, 4, 8, 12, 16 are conflicted: 5 blocks of size 2.
         assert_eq!(blocks.conflicting_block_count(), 5);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(32));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(32));
     }
 
     #[test]
@@ -468,8 +469,8 @@ mod tests {
         // blocks of size 3.
         assert_eq!(blocks.conflicting_block_count(), 4);
         assert_eq!(blocks.max_block_size(), 3);
-        let counter = RepairCounter::new(&db, &keys);
-        assert_eq!(counter.total_repairs().to_u64(), Some(81));
+        let engine = RepairEngine::new(db, keys);
+        assert_eq!(engine.total_repairs().to_u64(), Some(81));
     }
 
     #[test]

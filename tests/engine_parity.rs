@@ -1,145 +1,94 @@
 //! Parity suite for the [`RepairEngine`]: every report the engine produces
 //! must agree with the direct, cache-free algorithm entry points
-//! (`count_by_enumeration`, `FprasEstimator`), and every public method of
-//! the legacy [`RepairCounter`] facade must be expressible as exactly one
-//! [`CountRequest`]. Checked on the named scenarios and, property-style,
-//! on random `db_gen`/`query_gen` instances.
+//! (`count_by_enumeration`, `count_repairs`, `keywidth`,
+//! `FprasEstimator`), and every exact strategy, automatic or forced, must
+//! give the enumerated count and decision. Checked on the named scenarios
+//! and, property-style, on random `db_gen`/`query_gen` instances.
 
 use proptest::prelude::*;
 use repair_count::counting::{count_by_enumeration, FprasEstimator, Strategy as EngineStrategy};
+use repair_count::db::{count_repairs, BlockPartition};
 use repair_count::prelude::*;
-use repair_count::query::rewrite_to_ucq;
+use repair_count::query::{keywidth, max_disjunct_keywidth, rewrite_to_ucq};
 use repair_count::workloads::{
     employee_example, random_join_query, random_point_query_union, two_source_customers,
     BlockSizeDistribution, InconsistentDbConfig, QueryGenConfig, RelationSpec,
 };
 
 /// Asserts that every engine semantics agrees with the direct algorithms
-/// and with the legacy facade on one (database, keys, query) instance.
+/// on one (database, keys, query) instance.
 fn assert_engine_parity(db: &Database, keys: &KeySet, q: &Query) {
     let engine = RepairEngine::new(db.clone(), keys.clone());
-    let counter = RepairCounter::new(db, keys);
+    let run = |request: CountRequest| engine.run(&request).unwrap().answer;
 
-    // Exact count vs the direct enumeration machine.
+    // The precomputed total vs a fresh product over the blocks.
+    let total = engine.total_repairs().clone();
+    assert_eq!(total, count_repairs(&BlockPartition::new(db, keys)));
+
+    // Exact count and decision, under every exact strategy, vs the direct
+    // enumeration machine. The decision leg checks the Theorem 3.2
+    // witness search against the Lemma 3.5 certificate test.
     let direct = count_by_enumeration(db, keys, q, u64::MAX).unwrap();
-    let engine_count = engine
-        .run(&CountRequest::exact(q.clone()))
-        .unwrap()
-        .answer
-        .as_count()
-        .unwrap()
-        .clone();
-    assert_eq!(engine_count, direct, "engine vs enumeration for {q}");
-
-    // RepairCounter::count == CountRequest::exact.
-    assert_eq!(
-        counter.count(q).unwrap().count,
-        engine_count,
-        "facade count for {q}"
-    );
-
-    // RepairCounter::count_with == CountRequest::exact + with_strategy.
-    for (facade, engine_strategy) in [
-        (ExactStrategy::Enumeration, EngineStrategy::Enumeration),
-        (
-            ExactStrategy::CertificateBoxes,
-            EngineStrategy::CertificateBoxes,
-        ),
+    for strategy in [
+        EngineStrategy::Auto,
+        EngineStrategy::Enumeration,
+        EngineStrategy::CertificateBoxes,
     ] {
-        let via_facade = counter.count_with(q, facade).unwrap().count;
-        let via_engine = engine
-            .run(&CountRequest::exact(q.clone()).with_strategy(engine_strategy))
-            .unwrap()
-            .answer
-            .as_count()
-            .unwrap()
-            .clone();
-        assert_eq!(via_facade, via_engine, "strategy {facade:?} for {q}");
+        let count = run(CountRequest::exact(q.clone()).with_strategy(strategy));
+        assert_eq!(
+            count.as_count(),
+            Some(&direct),
+            "exact {strategy:?} vs enumeration for {q}"
+        );
+        let some = run(CountRequest::decision(q.clone()).with_strategy(strategy));
+        assert_eq!(
+            some.as_bool(),
+            Some(!direct.is_zero()),
+            "decision {strategy:?} vs count for {q}"
+        );
     }
 
-    // RepairCounter::total_repairs == the engine's precomputed total.
-    assert_eq!(counter.total_repairs(), *engine.total_repairs());
-
-    // RepairCounter::frequency == CountRequest::frequency.
-    let engine_freq = engine
-        .run(&CountRequest::frequency(q.clone()))
-        .unwrap()
-        .answer
-        .as_frequency()
-        .unwrap()
-        .clone();
+    // Frequency and certain answer vs their counting definitions.
+    let freq = run(CountRequest::frequency(q.clone()));
     assert_eq!(
-        counter.frequency(q).unwrap(),
-        engine_freq,
+        freq.as_frequency(),
+        Some(&Ratio::new(direct.clone(), total.clone())),
         "frequency for {q}"
     );
+    let every = run(CountRequest::certain_answer(q.clone()));
     assert_eq!(
-        engine_freq,
-        Ratio::new(direct.clone(), engine.total_repairs().clone())
-    );
-
-    // RepairCounter::holds_in_some_repair == CountRequest::decision.
-    let engine_some = engine
-        .run(&CountRequest::decision(q.clone()))
-        .unwrap()
-        .answer
-        .as_bool()
-        .unwrap();
-    assert_eq!(counter.holds_in_some_repair(q).unwrap(), engine_some);
-    assert_eq!(engine_some, !direct.is_zero(), "decision vs count for {q}");
-
-    // RepairCounter::holds_in_every_repair == CountRequest::certain_answer.
-    let engine_every = engine
-        .run(&CountRequest::certain_answer(q.clone()))
-        .unwrap()
-        .answer
-        .as_bool()
-        .unwrap();
-    assert_eq!(counter.holds_in_every_repair(q).unwrap(), engine_every);
-    assert_eq!(
-        engine_every,
-        direct == *engine.total_repairs(),
+        every.as_bool(),
+        Some(direct == total),
         "certain answer vs count for {q}"
     );
 
-    // RepairCounter::keywidth / disjunct_keywidth == the engine's.
-    assert_eq!(counter.keywidth(q), engine.keywidth(q));
+    // Keywidth and disjunct keywidth vs the query crate's.
+    let ucq = rewrite_to_ucq(q).unwrap();
+    assert_eq!(engine.keywidth(q), keywidth(q, db.schema(), keys));
     assert_eq!(
-        counter.disjunct_keywidth(q).unwrap(),
-        engine.disjunct_keywidth(q).unwrap()
+        engine.disjunct_keywidth(q).unwrap(),
+        max_disjunct_keywidth(&ucq, db.schema(), keys)
     );
 
-    // RepairCounter::approximate == CountRequest::approximate; both must
-    // match a directly-constructed FprasEstimator with the same seed.
+    // CountRequest::approximate must match a directly-constructed
+    // FprasEstimator with the same seed.
     let config = ApproxConfig {
         epsilon: 0.2,
         delta: 0.05,
         seed: 1234,
         ..ApproxConfig::default()
     };
-    let ucq = rewrite_to_ucq(q).unwrap();
     let direct_estimate = FprasEstimator::new(db, keys, &ucq)
         .unwrap()
         .estimate(&config)
         .unwrap();
-    let engine_estimate = engine
-        .run(
-            &CountRequest::approximate(q.clone(), config.epsilon, config.delta)
-                .with_seed(config.seed),
-        )
-        .unwrap()
-        .answer
-        .as_estimate()
-        .unwrap()
-        .clone();
-    let facade_estimate = counter.approximate(q, &config).unwrap();
+    let engine_estimate = run(
+        CountRequest::approximate(q.clone(), config.epsilon, config.delta).with_seed(config.seed),
+    );
+    let engine_estimate = engine_estimate.as_estimate().unwrap();
     assert_eq!(
         engine_estimate.estimate, direct_estimate.estimate,
         "engine vs direct FPRAS for {q}"
-    );
-    assert_eq!(
-        facade_estimate.estimate, direct_estimate.estimate,
-        "facade vs direct FPRAS for {q}"
     );
     assert_eq!(engine_estimate.samples_used, direct_estimate.samples_used);
 }
@@ -152,6 +101,8 @@ fn employee_scenario_parity() {
         "EXISTS n . Employee(2, n, 'IT')",
         "Employee(1, 'Bob', 'HR')",
         "Employee(1, 'Bob', 'HR') OR Employee(2, 'Tim', 'IT')",
+        "Employee(1, 'Bob', 'HR') AND Employee(2, 'Tim', 'IT')",
+        "Employee(1, 'Bob', 'HR') AND Employee(1, 'Bob', 'IT')",
         "EXISTS n, d . Employee(3, n, d)",
         "TRUE",
         "FALSE",
@@ -198,8 +149,8 @@ fn cache_hits_skip_replanning_but_preserve_answers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property: engine reports agree with the direct algorithms and the
-    /// legacy facade on random databases and point-query unions.
+    /// Property: engine reports agree with the direct algorithms on random
+    /// databases and point-query unions.
     #[test]
     fn prop_engine_parity_on_point_unions(seed in 0u64..1000, blocks in 2usize..5, size in 1usize..4) {
         let (db, keys) = InconsistentDbConfig {

@@ -131,16 +131,3 @@ fn keywidth_of_the_example_query_is_two() {
     // self-join — exactly why the keywidth is 2, not 1.
     assert!(ucq.has_self_join());
 }
-
-#[test]
-fn the_deprecated_facade_still_reproduces_the_example() {
-    let (db, keys) = employee_example();
-    let counter = RepairCounter::new(&db, &keys);
-    let q = query();
-    assert_eq!(counter.total_repairs().to_u64(), Some(4));
-    assert_eq!(counter.count(&q).unwrap().count.to_u64(), Some(2));
-    assert_eq!(counter.frequency(&q).unwrap().to_string(), "1/2");
-    assert_eq!(counter.keywidth(&q), 2);
-    assert!(counter.holds_in_some_repair(&q).unwrap());
-    assert!(!counter.holds_in_every_repair(&q).unwrap());
-}
