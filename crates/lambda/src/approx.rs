@@ -313,6 +313,104 @@ mod tests {
         assert!(kl.relative_error(&exact) <= 0.1);
     }
 
+    /// Seeded runs of both estimators, pinned as literals: however the
+    /// sampling code is organised, a seed must reproduce these draw for
+    /// draw.  Each line reads `estimate/positive samples/samples used/
+    /// samples requested`, for the FPRAS and then for Karp–Luby.
+    #[test]
+    fn seeded_estimates_are_pinned() {
+        use crate::compactor::{CompactOutput, Compactor, ExplicitCompactor};
+        use crate::disj_dnf::DisjPosDnf;
+        use cdr_core::{ApproxConfig, ApproxCount, CountError};
+
+        let module_dnf = DisjPosDnf::new(
+            9,
+            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]],
+            vec![vec![0, 3], vec![1, 7], vec![4, 8], vec![2]],
+            Some(2),
+        )
+        .unwrap();
+        // Experiment E11c's formula (the workloads generator's DNF with 6
+        // classes of 3 and 5 clauses of width 2, seed 61), written out.
+        let e11c_dnf = DisjPosDnf::new(
+            18,
+            (0..6).map(|c| (3 * c..3 * c + 3).collect()).collect(),
+            vec![
+                vec![10, 15],
+                vec![6, 16],
+                vec![0, 17],
+                vec![9, 14],
+                vec![5, 16],
+            ],
+            Some(2),
+        )
+        .unwrap();
+        let unbounded = ExplicitCompactor::new(
+            vec![2; 12],
+            vec![CompactOutput::pins((0..12).map(|d| (d, 0)))],
+            None,
+        );
+        // Mixed domain sizes and multi-pin boxes, so that Karp–Luby's
+        // weight fold `∏ 1/|S_d|` meets divisions whose result depends on
+        // their order.
+        let mixed = ExplicitCompactor::new(
+            vec![2, 3, 5, 7, 3, 2],
+            vec![
+                CompactOutput::pins([(0, 1), (2, 4), (3, 6)]),
+                CompactOutput::pins([(1, 2), (3, 0)]),
+                CompactOutput::pins([(5, 1), (4, 2), (2, 0)]),
+                CompactOutput::pins([(3, 3)]),
+                CompactOutput::pins([(0, 0), (1, 1), (4, 0), (5, 0)]),
+                CompactOutput::pins([(2, 3), (3, 5)]),
+            ],
+            Some(4),
+        );
+        let medium = medium_compactor();
+        let cases: [(&str, &dyn Compactor, &[u64], u64); 5] = [
+            ("medium", &medium, &[1, 2, 3], 2_000_000),
+            ("module dnf", &module_dnf, &[1, 2], 2_000_000),
+            ("e11c dnf", &e11c_dnf, &[1, 2], 2_000_000),
+            ("unbounded", &unbounded, &[1, 2], 2_000_000),
+            ("mixed", &mixed, &[1, 2, 3], 50_000),
+        ];
+        let show = |outcome: Result<ApproxCount, CountError>| match outcome {
+            Ok(o) => format!(
+                "{}/{}/{}/{}",
+                o.estimate, o.positive_samples, o.samples_used, o.samples_requested
+            ),
+            Err(_) => "refused".to_string(),
+        };
+        let mut got = String::new();
+        for (name, compactor, seeds, max_samples) in cases {
+            for &seed in seeds {
+                let config = ApproxConfig {
+                    epsilon: 0.2,
+                    delta: 0.1,
+                    max_samples,
+                    seed,
+                };
+                let fpras = show(compactor_fpras(compactor, &config));
+                let kl = show(compactor_karp_luby(compactor, &config));
+                got += &format!("{name} {seed}: {fpras} {kl}\n");
+            }
+        }
+        let expected = "\
+medium 1: 3645/824/1483/1483 3784/611/824/824
+medium 2: 3818/863/1483/1483 3747/605/824/824
+medium 3: 3845/869/1483/1483 3908/631/824/824
+module dnf 1: 18/973/1483/1483 17/623/660/660
+module dnf 2: 17/941/1483/1483 17/622/660/660
+e11c dnf 1: 360/733/1483/1483 354/721/824/824
+e11c dnf 2: 358/728/1483/1483 359/731/824/824
+unbounded 1: refused 1/165/165/165
+unbounded 2: refused 1/165/165/165
+mixed 1: 361/14339/50000/395602 360/961/989/989
+mixed 2: 356/14128/50000/395602 357/951/989/989
+mixed 3: 358/14210/50000/395602 357/953/989/989
+";
+        assert_eq!(got, expected);
+    }
+
     #[test]
     fn invalid_parameters_are_rejected() {
         let c = medium_compactor();
