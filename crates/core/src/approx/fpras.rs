@@ -1,13 +1,20 @@
 //! The paper's FPRAS (Theorem 6.2, Corollary 6.4).
 //!
 //! The estimator samples from the *natural* sample space
-//! `U = B₁ × ⋯ × Bₙ` (the set of all repairs): Algorithm 3 draws a uniform
-//! repair and reports whether it entails the query; `Apx_f` averages
+//! `U = S₁ × ⋯ × Sₙ`: Algorithm 3 draws a uniform tuple and reports whether
+//! some box covers it; `Apx_f` averages
 //! `t = ⌈(2+ε)·mᵏ/ε² · ln(2/δ)⌉` such Bernoulli draws and scales by `|U|`.
 //! The analysis hinges on `f(x)/|U| ≥ 1/mᵏ`, which holds because any single
-//! certificate already witnesses `∏_{i>ℓ} |Bᵢ|` repairs (see the proof of
-//! Theorem 6.2); `m` is the maximum block size and `k` bounds the number of
-//! blocks a certificate can pin — the disjunct keywidth.
+//! certificate already witnesses `∏_{i>ℓ} |Sᵢ|` tuples (see the proof of
+//! Theorem 6.2); `m` is the maximum domain size and `k` bounds the number
+//! of domains a certificate can pin.
+//!
+//! There is one estimator and two ways to build it.  For `#CQA` (Corollary
+//! 6.4) the domains are the blocks `B₁, …, Bₙ`, so `U` is the set of all
+//! repairs, the boxes are the certificates' selector boxes and `k` is the
+//! disjunct keywidth ([`FprasEstimator::new`]).  For any other function in
+//! Λ\[k\] the domains and boxes are a compactor's
+//! ([`FprasEstimator::over_domains`]).
 
 use std::sync::Arc;
 
@@ -17,11 +24,12 @@ use cdr_repairdb::{count_repairs, BlockPartition, Database, KeySet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::approx::{scale_by_fraction, ApproxConfig, ApproxCount, LiveBlockSampler};
-use crate::{distinct_boxes, enumerate_certificates, CountError, SelectorBox};
+use crate::approx::{covers, scale_by_fraction, ApproxConfig, ApproxCount, DomainSampler};
+use crate::exact::{domain_product, slot_boxes};
+use crate::{distinct_boxes, enumerate_certificates, CountError, GenericBox, SelectorBox};
 
-/// The FPRAS of Theorem 6.2, specialised to `#CQA(Q, Σ)` as in
-/// Corollary 6.4.
+/// The FPRAS of Theorem 6.2, for `#CQA(Q, Σ)` as in Corollary 6.4 or for
+/// any compactor's boxes.
 ///
 /// ```
 /// use cdr_core::{ApproxConfig, FprasEstimator};
@@ -46,15 +54,16 @@ use crate::{distinct_boxes, enumerate_certificates, CountError, SelectorBox};
 /// assert!(estimate >= 1 && estimate <= 3);
 /// ```
 pub struct FprasEstimator {
-    boxes: Arc<Vec<SelectorBox>>,
-    /// The live blocks flattened for the sampling hot loop (shared with
-    /// every estimator over the same partition generation).
-    sampler: Arc<LiveBlockSampler>,
-    /// `m`: the maximum block size.
-    max_block_size: usize,
-    /// `k`: the maximum number of blocks a certificate can pin.
+    boxes: Vec<GenericBox>,
+    /// The uniform-tuple sampler (for `#CQA`, shared with every estimator
+    /// over the same partition generation).
+    sampler: Arc<DomainSampler>,
+    /// `m`: the maximum domain size.
+    max_domain_size: usize,
+    /// `k`: the maximum number of domains a box can pin.
     keywidth: usize,
-    total_repairs: BigNat,
+    /// `|U| = ∏ |Sᵢ|`.
+    total: BigNat,
 }
 
 impl FprasEstimator {
@@ -68,7 +77,7 @@ impl FprasEstimator {
         let certificates = enumerate_certificates(db, keys, &blocks, ucq)?;
         let boxes = distinct_boxes(&certificates);
         let total_repairs = count_repairs(&blocks);
-        let sampler = Arc::new(LiveBlockSampler::new(&blocks));
+        let sampler = Arc::new(DomainSampler::over_partition(&blocks));
         Ok(FprasEstimator::from_parts(
             Arc::new(blocks),
             Arc::new(boxes),
@@ -83,22 +92,36 @@ impl FprasEstimator {
     pub(crate) fn from_parts(
         blocks: Arc<BlockPartition>,
         boxes: Arc<Vec<SelectorBox>>,
-        sampler: Arc<LiveBlockSampler>,
+        sampler: Arc<DomainSampler>,
         keywidth: usize,
         total_repairs: BigNat,
     ) -> Self {
         FprasEstimator {
-            max_block_size: blocks.max_block_size().max(1),
+            boxes: slot_boxes(&blocks, &boxes),
             sampler,
+            max_domain_size: blocks.max_block_size().max(1),
             keywidth,
-            boxes,
-            total_repairs,
+            total: total_repairs,
         }
     }
 
-    /// The sample-space size `|U| = ∏ |Bᵢ|` (the total number of repairs).
+    /// Prepares the estimator over `S₁ × ⋯ × Sₙ` with `|Sᵢ| =
+    /// domain_sizes[i]`, for boxes that pin at most `k` domains each (the
+    /// output boxes of a `k`-compactor).
+    pub fn over_domains(domain_sizes: &[usize], boxes: Vec<GenericBox>, k: usize) -> Self {
+        FprasEstimator {
+            boxes,
+            sampler: Arc::new(DomainSampler::over_domains(domain_sizes)),
+            max_domain_size: domain_sizes.iter().copied().max().unwrap_or(1).max(1),
+            keywidth: k,
+            total: domain_product(domain_sizes),
+        }
+    }
+
+    /// The sample-space size `|U| = ∏ |Sᵢ|` (for `#CQA`, the total number
+    /// of repairs).
     pub fn sample_space_size(&self) -> &BigNat {
-        &self.total_repairs
+        &self.total
     }
 
     /// The number of certificate boxes the membership test uses.
@@ -111,7 +134,7 @@ impl FprasEstimator {
     /// Saturates at `u64::MAX` for extreme parameters.
     pub fn required_samples(&self, config: &ApproxConfig) -> Result<u64, CountError> {
         config.validate()?;
-        let m = self.max_block_size as f64;
+        let m = self.max_domain_size as f64;
         let k = self.keywidth as f64;
         let eps = config.epsilon;
         let delta = config.delta;
@@ -124,39 +147,35 @@ impl FprasEstimator {
 
     /// Runs the FPRAS and returns the estimate.
     ///
-    /// Degenerate cases short-circuit to an exact answer: a query with no
-    /// certificates has count 0, and a query with an unconstrained
-    /// certificate (a disjunct with no keyed atoms mapped into `D`) is
-    /// entailed by every repair.
+    /// Degenerate cases short-circuit to an exact answer: no boxes (for
+    /// `#CQA`, no certificates) or an empty sample space means count 0,
+    /// and an unconstrained box (a disjunct with no keyed atoms mapped
+    /// into `D`) covers every tuple.
     pub fn estimate(&self, config: &ApproxConfig) -> Result<ApproxCount, CountError> {
         config.validate()?;
-        if self.boxes.is_empty() {
-            return Ok(ApproxCount::exact_value(
-                BigNat::zero(),
-                self.total_repairs.clone(),
-            ));
+        if self.boxes.is_empty() || self.total.is_zero() {
+            return Ok(ApproxCount::exact_value(BigNat::zero(), self.total.clone()));
         }
-        if self.boxes.iter().any(SelectorBox::is_unconstrained) {
+        if self.boxes.iter().any(GenericBox::is_empty) {
             return Ok(ApproxCount::exact_value(
-                self.total_repairs.clone(),
-                self.total_repairs.clone(),
+                self.total.clone(),
+                self.total.clone(),
             ));
         }
         let requested = self.required_samples(config)?;
         let samples = requested.min(config.max_samples).max(1);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut positives: u64 = 0;
-        // One scratch choice vector for the whole run: the sampling loop
-        // allocates nothing.
-        let mut choice: Vec<cdr_repairdb::FactId> = Vec::new();
-        self.sampler.init_choice(&mut choice);
+        // One scratch tuple for the whole run: the sampling loop allocates
+        // nothing.
+        let mut tuple = self.sampler.tuple();
         for _ in 0..samples {
-            self.sampler.sample_repair_into(&mut rng, &mut choice);
-            if self.boxes.iter().any(|b| b.contains_choice(&choice)) {
+            self.sampler.sample_into(&mut rng, &mut tuple);
+            if self.boxes.iter().any(|b| covers(b, &tuple)) {
                 positives += 1;
             }
         }
-        let (estimate, estimate_log) = scale_by_fraction(&self.total_repairs, positives, samples);
+        let (estimate, estimate_log) = scale_by_fraction(&self.total, positives, samples);
         Ok(ApproxCount {
             estimate,
             estimate_log,
@@ -164,7 +183,7 @@ impl FprasEstimator {
             samples_requested: requested,
             samples_used: samples,
             positive_samples: positives,
-            sample_space_size: self.total_repairs.clone(),
+            sample_space_size: self.total.clone(),
             exact: false,
         })
     }

@@ -1,4 +1,5 @@
-//! The Karp–Luby union-of-boxes estimator (the "\[5\]-style" baseline).
+//! The Karp–Luby union-of-boxes estimator (the "\[5\]-style" baseline,
+//! and the FPRAS of Theorem 7.4 for unbounded compactors).
 //!
 //! Section 6 of the paper contrasts its own FPRAS with the one inherited
 //! from probabilistic databases \[5\]: the latter cannot sample from the
@@ -10,31 +11,42 @@
 //! running time.
 //!
 //! Estimator: let `W = Σᵢ |boxᵢ|`.  Repeat `t` times: draw a box `i` with
-//! probability `|boxᵢ|/W`, draw a uniform completion of `boxᵢ` (a repair
+//! probability `|boxᵢ|/W`, draw a uniform completion of `boxᵢ` (a tuple
 //! inside the box), and output 1 iff no box with a smaller index contains
-//! the drawn repair.  The mean of the indicator times `W` is an unbiased
+//! the drawn tuple.  The mean of the indicator times `W` is an unbiased
 //! estimate of `|⋃ᵢ boxᵢ|`, and because the union is at least `W/#boxes`,
 //! `t = ⌈(2+ε)·#boxes/ε² · ln(2/δ)⌉` samples give an (ε, δ) guarantee.
+//! The bound does not involve how many domains a box pins, so the
+//! estimator also covers the unbounded compactors of SpanLL.
+//!
+//! There is one estimator and two ways to build it: over a database's
+//! certificate boxes, whose domains are the blocks
+//! ([`KarpLubyEstimator::new`]), or over a compactor's domains and boxes
+//! ([`KarpLubyEstimator::over_domains`]).  Both draw completions through
+//! the same sampler as the FPRAS.
 
 use std::sync::Arc;
 
 use cdr_num::BigNat;
 use cdr_query::UcqQuery;
-use cdr_repairdb::{count_repairs, BlockId, BlockPartition, Database, FactId, KeySet};
+use cdr_repairdb::{count_repairs, BlockPartition, Database, KeySet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::approx::{scale_by_fraction, ApproxConfig, ApproxCount, LiveBlockSampler};
-use crate::{distinct_boxes, enumerate_certificates, CountError, SelectorBox};
+use crate::approx::{covers, scale_by_fraction, ApproxConfig, ApproxCount, DomainSampler};
+use crate::exact::{domain_product, slot_boxes, DomainSizes, SlotSizes};
+use crate::{distinct_boxes, enumerate_certificates, CountError, GenericBox, SelectorBox};
 
-/// The Karp–Luby estimator over the certificate boxes of a UCQ.
+/// The Karp–Luby estimator over a union of boxes.
 pub struct KarpLubyEstimator {
-    blocks: Arc<BlockPartition>,
-    boxes: Arc<Vec<SelectorBox>>,
-    /// `Σᵢ |boxᵢ|` — the size of the (certificate, completion) sample space.
+    boxes: Vec<GenericBox>,
+    /// `Σᵢ |boxᵢ|` — the size of the (box, completion) sample space.
     total_weight: BigNat,
-    /// Per-box relative weights `|boxᵢ| / ∏ⱼ |Bⱼ|`, used for sampling; each
-    /// equals `∏_{pinned j} 1/|Bⱼ| ∈ (0, 1]`, so they are safe in `f64`.
+    /// Per-box relative weights `|boxᵢ| / ∏ⱼ |Sⱼ| = ∏_{pinned j} 1/|Sⱼ|`,
+    /// folded over the pins in domain order.  They lie in `[0, 1]`, but a
+    /// box pinning many domains underflows `f64` (to a subnormal, losing
+    /// bits, or to zero); [`KarpLubyEstimator::estimate`] refuses to
+    /// sample then.
     relative_weights: Vec<f64>,
     /// `Σ relative_weights` (left-to-right), the scale of each box draw.
     weight_sum: f64,
@@ -42,11 +54,14 @@ pub struct KarpLubyEstimator {
     /// `f64` target that the historical sequential-subtraction scan maps
     /// past box `j`, so a binary search (`partition_point`) replaces the
     /// per-sample linear scan *bit-for-bit* (see [`selection_thresholds`]).
+    /// Empty when some weight is not normal.
     thresholds: Box<[f64]>,
-    /// The live blocks flattened for the sampling hot loop (shared with
-    /// every estimator over the same partition generation).
-    sampler: Arc<LiveBlockSampler>,
-    total_repairs: BigNat,
+    /// The uniform-tuple sampler the completions are drawn with (for
+    /// `#CQA`, shared with every estimator over the same partition
+    /// generation).
+    sampler: Arc<DomainSampler>,
+    /// `∏ |Sᵢ|`.
+    total: BigNat,
 }
 
 /// The box index the pre-refactor per-sample scan assigned to `target`:
@@ -107,7 +122,7 @@ impl KarpLubyEstimator {
         let certificates = enumerate_certificates(db, keys, &blocks, ucq)?;
         let boxes = distinct_boxes(&certificates);
         let total_repairs = count_repairs(&blocks);
-        let sampler = Arc::new(LiveBlockSampler::new(&blocks));
+        let sampler = Arc::new(DomainSampler::over_partition(&blocks));
         Ok(KarpLubyEstimator::from_parts(
             Arc::new(blocks),
             Arc::new(boxes),
@@ -122,32 +137,63 @@ impl KarpLubyEstimator {
     pub(crate) fn from_parts(
         blocks: Arc<BlockPartition>,
         boxes: Arc<Vec<SelectorBox>>,
-        sampler: Arc<LiveBlockSampler>,
+        sampler: Arc<DomainSampler>,
         total_repairs: BigNat,
+    ) -> Self {
+        let boxes = slot_boxes(&blocks, &boxes);
+        KarpLubyEstimator::build(&SlotSizes(&blocks), boxes, sampler, total_repairs)
+    }
+
+    /// Prepares the estimator over `S₁ × ⋯ × Sₙ` with `|Sᵢ| =
+    /// domain_sizes[i]`, for boxes that may pin any number of domains (the
+    /// output boxes of a compactor, bounded or not).
+    pub fn over_domains(domain_sizes: &[usize], boxes: Vec<GenericBox>) -> Self {
+        let sampler = Arc::new(DomainSampler::over_domains(domain_sizes));
+        KarpLubyEstimator::build(&domain_sizes, boxes, sampler, domain_product(domain_sizes))
+    }
+
+    fn build<S: DomainSizes>(
+        sizes: &S,
+        boxes: Vec<GenericBox>,
+        sampler: Arc<DomainSampler>,
+        total: BigNat,
     ) -> Self {
         let mut total_weight = BigNat::zero();
         let mut relative_weights = Vec::with_capacity(boxes.len());
-        for b in boxes.iter() {
-            // |boxᵢ| by dividing the precomputed total — O(pins) instead
-            // of a walk over every block.
-            total_weight += b.size_with_total(&blocks, &total_repairs);
-            let mut w = 1.0f64;
-            for (block, _) in b.pins() {
-                w /= blocks.block(block).len() as f64;
+        // An empty sample space is answered without sampling; skipping
+        // it also keeps a pin of an empty domain (necessarily out of
+        // range) from dividing by zero.
+        if !total.is_zero() {
+            for b in &boxes {
+                // |boxᵢ| by dividing the total — O(pins) instead of a
+                // product over every unpinned domain.
+                let mut size = total.clone();
+                let mut w = 1.0f64;
+                for (domain, _) in b.pins() {
+                    let len = sizes.size(domain);
+                    let (quotient, remainder) = size.div_rem_u64(len as u64);
+                    debug_assert_eq!(remainder, 0, "domain sizes divide the total exactly");
+                    size = quotient;
+                    w /= len as f64;
+                }
+                total_weight += size;
+                relative_weights.push(w);
             }
-            relative_weights.push(w);
         }
         let weight_sum: f64 = relative_weights.iter().sum();
-        let thresholds = selection_thresholds(&relative_weights);
+        let thresholds = if relative_weights.iter().all(|w| w.is_normal()) {
+            selection_thresholds(&relative_weights)
+        } else {
+            Box::default()
+        };
         KarpLubyEstimator {
-            sampler,
-            blocks,
             boxes,
             total_weight,
             relative_weights,
             weight_sum,
             thresholds,
-            total_repairs,
+            sampler,
+            total,
         }
     }
 
@@ -175,31 +221,43 @@ impl KarpLubyEstimator {
     }
 
     /// Runs the estimator.
+    ///
+    /// Degenerate cases short-circuit to an exact answer: no boxes or an
+    /// empty sample space means count 0, and an unconstrained box means
+    /// the union is everything.  A box whose relative weight is not a
+    /// normal `f64` cannot be drawn with its probability, so it is refused
+    /// with [`CountError::InvalidApproxParameter`].
     pub fn estimate(&self, config: &ApproxConfig) -> Result<ApproxCount, CountError> {
         config.validate()?;
-        if self.boxes.is_empty() {
+        if self.boxes.is_empty() || self.total.is_zero() {
             return Ok(ApproxCount::exact_value(
                 BigNat::zero(),
                 self.total_weight.clone(),
             ));
         }
-        if self.boxes.iter().any(SelectorBox::is_unconstrained) {
-            // Some box is the whole space of repairs: the union is exactly
-            // the total number of repairs.
+        if self.boxes.iter().any(GenericBox::is_empty) {
+            // Some box is the whole sample space: the union is exactly
+            // the total.
             return Ok(ApproxCount::exact_value(
-                self.total_repairs.clone(),
+                self.total.clone(),
                 self.total_weight.clone(),
             ));
+        }
+        if let Some(i) = self.relative_weights.iter().position(|w| !w.is_normal()) {
+            return Err(CountError::InvalidApproxParameter(format!(
+                "box {i} pins {} domains and its relative weight {:e} underflows f64; \
+                 Karp-Luby cannot draw it with its probability",
+                self.boxes[i].len(),
+                self.relative_weights[i]
+            )));
         }
         let requested = self.required_samples(config)?;
         let samples = requested.min(config.max_samples).max(1);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut positives: u64 = 0;
-        // Indexed by block slot (`BlockId::index`); retired slots keep a
-        // placeholder that no live box pins.  One scratch vector for the
-        // whole run — the sampling loop allocates nothing.
-        let mut choice: Vec<FactId> = Vec::new();
-        self.sampler.init_choice(&mut choice);
+        // One scratch tuple for the whole run: the sampling loop allocates
+        // nothing.
+        let mut tuple = self.sampler.tuple();
         for _ in 0..samples {
             // Draw a box proportionally to its size: a binary search over
             // the precomputed thresholds, selecting exactly the box the
@@ -211,16 +269,13 @@ impl KarpLubyEstimator {
                 sequential_pick(&self.relative_weights, target),
                 "threshold selection must replicate the sequential scan"
             );
-            // Draw a uniform completion of the chosen box over the
-            // flattened live blocks: precomputed rejection thresholds
-            // (no division) and sequential memory (no pointer chasing).
             self.sampler
-                .sample_completion_into(&self.boxes[chosen_box], &mut rng, &mut choice);
+                .sample_completion_into(&self.boxes[chosen_box], &mut rng, &mut tuple);
             // Count the sample only if no earlier box already covers it.
             let first_cover = self
                 .boxes
                 .iter()
-                .position(|b| b.contains_choice(&choice))
+                .position(|b| covers(b, &tuple))
                 .expect("the chosen box covers its own completion");
             if first_cover == chosen_box {
                 positives += 1;
@@ -237,11 +292,6 @@ impl KarpLubyEstimator {
             sample_space_size: self.total_weight.clone(),
             exact: false,
         })
-    }
-
-    /// The blocks the estimator samples over (exposed for diagnostics).
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.blocks.iter().map(|(id, _)| id)
     }
 }
 
@@ -286,7 +336,6 @@ mod tests {
         assert_eq!(est.box_count(), 3);
         // W = 3 * 3^7.
         assert_eq!(est.total_weight().to_u64(), Some(3 * 2187));
-        assert_eq!(est.block_ids().count(), 8);
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //!   that its own scheme is conceptually simpler; implementing both lets
 //!   the benchmarks compare them.
 //!
+//! Both estimators draw through one sampler of uniform tuples over a
+//! product of domains, and both count boxes over those domains
+//! ([`GenericBox`]).  There are two ways to build each: over a database,
+//! where the domains are the blocks and the boxes the certificates'
+//! selector boxes (`#CQA`), and over plain domain sizes and boxes
+//! (`over_domains`), which is how `cdr-lambda` runs them on the output of
+//! any compactor — every function in Λ\[k\], and SpanLL for Karp–Luby.
+//!
 //! Both estimators are deterministic given a seed ([`ApproxConfig::seed`]),
 //! which keeps experiments reproducible.
 
@@ -26,11 +34,11 @@ pub use fpras::FprasEstimator;
 pub use karp_luby::KarpLubyEstimator;
 
 use cdr_num::{BigNat, LogNum};
-use cdr_repairdb::{BlockPartition, FactId};
+use cdr_repairdb::BlockPartition;
 use rand::distributions::{Distribution, Uniform};
 use rand::RngCore;
 
-use crate::CountError;
+use crate::{CountError, GenericBox};
 
 /// Parameters of an approximation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,95 +165,99 @@ pub(crate) fn scale_by_fraction(space: &BigNat, positives: u64, samples: u64) ->
     (rounded, log)
 }
 
-/// The live blocks of a partition flattened for the sampling hot loop.
+/// The one sampler behind both estimators: uniform tuples of
+/// `S₀ × ⋯ × S_{n-1}`, written as element indices into a domain-indexed
+/// tuple, so a box contains a sample iff `tuple[d] == e` for each of its
+/// pins `(d, e)` (see [`covers`]).
 ///
-/// Built once per estimator, this carries everything a per-sample
-/// completion walk needs in parallel, cache-friendly arrays laid out in
-/// `≺_{D,Σ}` order: the block's slot (the index into the choice vector),
-/// a [`Uniform`] sampler with the block's Lemire rejection threshold — an
-/// integer division — precomputed, and the block's facts concatenated
-/// into one slice.  The old loop chased `order → Block → facts` pointers
-/// and re-derived the threshold per draw; this walk touches only
-/// sequential memory and the generator.  Sampled values are draw-for-draw
-/// identical to the `blocks.iter()` + `gen_range` formulation (the
-/// vendored `Uniform` guarantees value equality with `gen_range`).
-pub(crate) struct LiveBlockSampler {
-    slot_count: usize,
-    /// Per live block, in `≺_{D,Σ}` order: its slot index.
-    slots: Box<[u32]>,
-    /// Per live block: a `0..len` sampler with precomputed threshold.
+/// It holds, per drawn domain, a [`Uniform`] with its Lemire rejection
+/// threshold — an integer division — precomputed, plus the order in which
+/// domains are drawn.  There are two ways to build it:
+///
+/// * [`DomainSampler::over_partition`] for `#CQA`: the domains are block
+///   *slots* (what selector pins name, see [`crate::exact::slot_boxes`]),
+///   and the live slots are drawn in `≺_{D,Σ}` order, so two engines over
+///   the same live facts sample identical repairs for the same seed
+///   however their slots are numbered.  Retired slots are never drawn.
+/// * [`DomainSampler::over_domains`] for a Λ\[k\] compactor: the domains
+///   are the compactor's, drawn in index order.
+///
+/// Sampled values are draw-for-draw identical to a `gen_range(0..|S_d|)`
+/// walk in draw order (the vendored `Uniform` guarantees value equality
+/// with `gen_range`).
+pub(crate) struct DomainSampler {
+    /// The length of every sampled tuple.
+    domain_count: usize,
+    /// The drawn domains, in draw order.
+    order: Box<[u32]>,
+    /// Per drawn domain: a `0..|S_d|` sampler with precomputed threshold.
     samplers: Box<[Uniform]>,
-    /// Per live block: offset of its facts within `facts`.
-    offsets: Box<[u32]>,
-    /// Every live block's facts, concatenated in `≺_{D,Σ}` order.
-    facts: Box<[FactId]>,
 }
 
-impl LiveBlockSampler {
-    pub(crate) fn new(blocks: &BlockPartition) -> LiveBlockSampler {
-        let live = blocks.len();
-        let mut slots = Vec::with_capacity(live);
-        let mut samplers = Vec::with_capacity(live);
-        let mut offsets = Vec::with_capacity(live);
-        let mut facts = Vec::new();
-        for (id, block) in blocks.iter() {
-            slots.push(id.index() as u32);
-            samplers.push(Uniform::from(0..block.len()));
-            offsets.push(facts.len() as u32);
-            facts.extend_from_slice(block.facts());
-        }
-        LiveBlockSampler {
-            slot_count: blocks.slot_count(),
-            slots: slots.into_boxed_slice(),
+impl DomainSampler {
+    /// The sampler over the live blocks of a partition (domains are slots).
+    pub(crate) fn over_partition(blocks: &BlockPartition) -> DomainSampler {
+        DomainSampler::new(
+            blocks.slot_count(),
+            blocks.iter().map(|(id, block)| (id.index(), block.len())),
+        )
+    }
+
+    /// The sampler over plain domain sizes, drawn in index order.  A
+    /// zero-size domain empties the sample space, which both estimators
+    /// answer without drawing; it is set up as size 1 so construction
+    /// cannot fail.
+    pub(crate) fn over_domains(sizes: &[usize]) -> DomainSampler {
+        DomainSampler::new(sizes.len(), sizes.iter().map(|&s| s.max(1)).enumerate())
+    }
+
+    fn new(domain_count: usize, drawn: impl Iterator<Item = (usize, usize)>) -> DomainSampler {
+        let (order, samplers): (Vec<u32>, Vec<Uniform>) = drawn
+            .map(|(domain, size)| (domain as u32, Uniform::from(0..size)))
+            .unzip();
+        DomainSampler {
+            domain_count,
+            order: order.into_boxed_slice(),
             samplers: samplers.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
-            facts: facts.into_boxed_slice(),
         }
     }
 
-    /// Initialises the reusable `choice` vector: placeholders spanning
-    /// every slot.  Every live slot is overwritten by each sample; retired
-    /// slots keep the placeholder (no live box pins them), so one reset
-    /// before the sampling loop suffices.
-    pub(crate) fn init_choice(&self, choice: &mut Vec<FactId>) {
-        choice.clear();
-        choice.resize(self.slot_count, FactId::new(u32::MAX as usize));
+    /// A scratch tuple spanning every domain.  Every drawn domain is
+    /// overwritten by each sample; undrawn (retired) ones are never pinned,
+    /// so one tuple serves a whole sampling loop.
+    pub(crate) fn tuple(&self) -> Vec<u32> {
+        vec![0; self.domain_count]
     }
 
-    /// Draws a uniform repair into the reusable `choice` vector, indexed
-    /// by block slot so [`crate::SelectorBox::contains_choice`] can look
-    /// pins up directly.  Randomness is drawn in `≺_{D,Σ}` order, so two
-    /// engines over the same live facts sample identical repairs for the
-    /// same seed regardless of how their slots are numbered.
-    pub(crate) fn sample_repair_into<R: RngCore>(&self, rng: &mut R, choice: &mut [FactId]) {
-        for i in 0..self.slots.len() {
-            let idx = self.samplers[i].sample(rng);
-            choice[self.slots[i] as usize] = self.facts[self.offsets[i] as usize + idx];
+    /// Draws a uniform tuple into `tuple`.
+    pub(crate) fn sample_into<R: RngCore>(&self, rng: &mut R, tuple: &mut [u32]) {
+        for (&domain, sampler) in self.order.iter().zip(self.samplers.iter()) {
+            tuple[domain as usize] = sampler.sample(rng) as u32;
         }
     }
 
-    /// Draws a uniform completion of `pinned` into `choice`: pinned blocks
-    /// contribute their pinned fact, every other live block draws
-    /// uniformly — consuming randomness exactly as a full walk that skips
-    /// pinned blocks, in `≺_{D,Σ}` order.
+    /// Draws a uniform completion of `pinned` into `tuple`: pinned domains
+    /// take their pinned element, every other domain draws — consuming
+    /// randomness exactly as a walk in draw order that skips pinned
+    /// domains.
     pub(crate) fn sample_completion_into<R: RngCore>(
         &self,
-        pinned: &crate::SelectorBox,
+        pinned: &GenericBox,
         rng: &mut R,
-        choice: &mut [FactId],
+        tuple: &mut [u32],
     ) {
-        for i in 0..self.slots.len() {
-            let slot = self.slots[i] as usize;
-            let fact = match pinned.pin_for(cdr_repairdb::BlockId::new(slot)) {
-                Some(fact) => fact,
-                None => {
-                    let idx = self.samplers[i].sample(rng);
-                    self.facts[self.offsets[i] as usize + idx]
-                }
+        for (&domain, sampler) in self.order.iter().zip(self.samplers.iter()) {
+            tuple[domain as usize] = match pinned.get(domain as usize) {
+                Some(element) => element as u32,
+                None => sampler.sample(rng) as u32,
             };
-            choice[slot] = fact;
         }
     }
+}
+
+/// Returns `true` iff the sampled tuple lies in the box.
+pub(crate) fn covers(b: &GenericBox, tuple: &[u32]) -> bool {
+    b.as_slice().iter().all(|&(d, e)| tuple[d as usize] == e)
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 //! The exact counters, the FPRAS and the Λ-hierarchy compactors all consume
 //! this module.
 
-use cdr_num::BigNat;
 use cdr_query::{find_homomorphisms, Assignment, Term, UcqQuery};
 use cdr_repairdb::{BlockId, BlockPartition, Database, FactId, KeySet, Repair};
 
@@ -78,67 +77,12 @@ impl SelectorBox {
         self.pinned.is_empty()
     }
 
-    /// The fact the given block is pinned to, if any.
-    pub fn pin_for(&self, block: BlockId) -> Option<FactId> {
-        self.pinned
-            .binary_search_by_key(&block, |&(b, _)| b)
-            .ok()
-            .map(|i| self.pinned[i].1)
-    }
-
     /// Returns `true` iff the repair lies inside the box.
     ///
     /// A repair holds exactly one fact from every block, so it matches a
     /// pin `(B, α)` iff it contains `α` — no block lookup is needed.
     pub fn contains_repair(&self, repair: &Repair) -> bool {
         self.pinned.iter().all(|&(_, fact)| repair.contains(fact))
-    }
-
-    /// Returns `true` iff a repair described by "fact chosen per block"
-    /// lies inside the box.
-    ///
-    /// `chosen` is indexed by block *slot* ([`BlockId::index`]), not by
-    /// `≺_{D,Σ}` position, and must span every slot
-    /// ([`BlockPartition::slot_count`] entries); after deletions retire
-    /// slots, the two numbering schemes diverge.  Entries for retired
-    /// slots are never read (no live box pins them).
-    pub fn contains_choice(&self, chosen: &[FactId]) -> bool {
-        self.pinned
-            .iter()
-            .all(|&(block, fact)| chosen[block.index()] == fact)
-    }
-
-    /// The number of repairs inside the box: `∏` over unpinned blocks of
-    /// `|Bᵢ|`.
-    pub fn size(&self, blocks: &BlockPartition) -> BigNat {
-        let mut size = BigNat::one();
-        for (id, block) in blocks.iter() {
-            if self.pin_for(id).is_none() {
-                size.mul_assign_u64(block.len() as u64);
-            }
-        }
-        size
-    }
-
-    /// [`SelectorBox::size`] computed by *division*: `total / ∏` over
-    /// pinned blocks of `|Bᵢ|`, where `total = ∏ |Bᵢ|` is the caller's
-    /// precomputed total repair count.  Exact (every pinned block's size
-    /// divides the total) and `O(pins)` instead of `O(blocks)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pinned block is empty (a live box never pins a retired
-    /// slot) — the division would otherwise be by zero.
-    pub fn size_with_total(&self, blocks: &BlockPartition, total: &BigNat) -> BigNat {
-        let mut size = total.clone();
-        for &(block, _) in self.pinned.iter() {
-            let len = blocks.block(block).len() as u64;
-            assert!(len > 0, "a live box never pins a retired block slot");
-            let (quotient, remainder) = size.div_rem_u64(len);
-            debug_assert_eq!(remainder, 0, "block sizes divide the total exactly");
-            size = quotient;
-        }
-        size
     }
 
     /// The intersection of two boxes: a box, unless they pin the same block
@@ -329,7 +273,8 @@ mod tests {
         let boxes = distinct_boxes(&certs);
         assert_eq!(boxes.len(), 2);
         for b in &boxes {
-            assert_eq!(b.size(&blocks).to_u64(), Some(1));
+            let inside = RepairIter::new(&blocks).filter(|r| b.contains_repair(r));
+            assert_eq!(inside.count(), 1);
         }
     }
 
@@ -402,15 +347,9 @@ mod tests {
         // their intersection must be empty.
         assert_eq!(a.intersect(b), None);
         assert!(!a.is_subset_of(b));
-        // Pins are accessible and consistent with pin_for.
-        for (block, fact) in a.pins() {
-            assert_eq!(a.pin_for(block), Some(fact));
-        }
-        assert_eq!(a.pin_for(BlockId::new(99)), None);
-        // An unconstrained box covers every repair and has full size.
+        // An unconstrained box covers every repair.
         let full = SelectorBox::default();
         assert!(full.is_unconstrained());
-        assert_eq!(full.size(&blocks).to_u64(), Some(4));
         for repair in RepairIter::new(&blocks) {
             assert!(full.contains_repair(&repair));
         }
@@ -419,22 +358,6 @@ mod tests {
         assert!(a.is_subset_of(&looser));
         assert!(!looser.is_subset_of(a));
         assert!(looser.intersect(a).is_some());
-    }
-
-    #[test]
-    fn contains_choice_matches_contains_repair() {
-        let (_db, _keys, blocks, ucq) = employee();
-        let (db, keys, _, _) = employee();
-        let certs = enumerate_certificates(&db, &keys, &blocks, &ucq).unwrap();
-        for repair in RepairIter::new(&blocks) {
-            let chosen: Vec<FactId> = repair.facts().to_vec();
-            for c in &certs {
-                assert_eq!(
-                    c.selector.contains_repair(&repair),
-                    c.selector.contains_choice(&chosen)
-                );
-            }
-        }
     }
 
     #[test]

@@ -46,8 +46,7 @@ use cdr_repairdb::{
     KeySet, Mutation, RepairIter,
 };
 
-use crate::approx::LiveBlockSampler;
-use crate::approx::{ApproxConfig, ApproxCount, FprasEstimator, KarpLubyEstimator};
+use crate::approx::{ApproxConfig, ApproxCount, DomainSampler, FprasEstimator, KarpLubyEstimator};
 use crate::exact::{count_by_enumeration, count_union_of_boxes_with_total, DEFAULT_EXACT_BUDGET};
 use crate::{distinct_boxes, enumerate_certificates, CountError, SelectorBox};
 
@@ -583,10 +582,10 @@ impl QueryPlan {
             let disjunct_keywidth = self
                 .disjunct_keywidth
                 .expect("cert_summary succeeded, so the query rewrote to a UCQ");
-            // One flattened live-block sampler per partition generation,
-            // shared across every plan's estimators — its fact arrays are
-            // O(database), so per-plan copies would multiply that by the
-            // plan-cache size.
+            // One live-block sampler per partition generation, shared
+            // across every plan's estimators — it holds a precomputed
+            // sampler per live block, so per-plan copies would multiply
+            // that by the plan-cache size.
             let sampler = engine.live_block_sampler();
             Arc::new(Estimators {
                 fpras: FprasEstimator::from_parts(
@@ -752,10 +751,10 @@ pub struct RepairEngine {
     /// clone of the partition `Arc`); the next mutation drains exactly
     /// these instead of sweeping the whole plan cache.
     estimator_holders: Mutex<Vec<Weak<QueryPlan>>>,
-    /// The flattened live-block sampler shared by every plan's prepared
-    /// estimators, rebuilt lazily after each mutation (its fact arrays
-    /// are a full copy of the live database).
-    repair_sampler: Mutex<Option<Arc<LiveBlockSampler>>>,
+    /// The live-block sampler shared by every plan's prepared estimators
+    /// (one precomputed sampler per live block), rebuilt lazily after each
+    /// mutation.
+    repair_sampler: Mutex<Option<Arc<DomainSampler>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -1186,15 +1185,15 @@ impl RepairEngine {
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = None;
     }
 
-    /// The flattened live-block sampler for the current partition state,
-    /// built on first use after a mutation and shared (one copy of the
-    /// live fact table) by every plan's prepared estimators.
-    fn live_block_sampler(&self) -> Arc<LiveBlockSampler> {
+    /// The live-block sampler for the current partition state, built on
+    /// first use after a mutation and shared (one sampler per live block)
+    /// by every plan's prepared estimators.
+    fn live_block_sampler(&self) -> Arc<DomainSampler> {
         let mut guard = lock(&self.repair_sampler);
         match guard.as_ref() {
             Some(sampler) => Arc::clone(sampler),
             None => {
-                let sampler = Arc::new(LiveBlockSampler::new(&self.blocks));
+                let sampler = Arc::new(DomainSampler::over_partition(&self.blocks));
                 *guard = Some(Arc::clone(&sampler));
                 sampler
             }

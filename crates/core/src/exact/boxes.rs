@@ -69,11 +69,22 @@ pub fn count_union_of_boxes_with_total(
     budget: u64,
     total: BigNat,
 ) -> Result<BigNat, CountError> {
-    // Domains are indexed by block *slot* (`BlockId::index`), because that
-    // is what box pins name.  Retired slots (emptied by deletions) become
-    // neutral size-1 domains — `SlotSizes` clamps on access, borrowing
-    // straight from the partition instead of materialising a sizes vector.
-    let generic: Vec<GenericBox> = boxes
+    count_union_impl(
+        &SlotSizes(blocks),
+        &slot_boxes(blocks, boxes),
+        budget,
+        total,
+    )
+}
+
+/// Rewrites selector boxes over `blocks` as boxes over block *slots*: a
+/// pin `(block, fact)` becomes `(slot, position of the fact in its
+/// block)`.  Slots rather than `≺_{D,Σ}` positions, because that is what
+/// selector pins name; retired slots (emptied by deletions) are never
+/// pinned.  The exact union counter and both estimators read `#CQA`
+/// boxes through this one conversion.
+pub(crate) fn slot_boxes(blocks: &BlockPartition, boxes: &[SelectorBox]) -> Vec<GenericBox> {
+    boxes
         .iter()
         .map(|b| {
             // A selector's pins are sorted by block slot, so the mapped
@@ -90,8 +101,7 @@ pub fn count_union_of_boxes_with_total(
                     .collect(),
             )
         })
-        .collect();
-    count_union_impl(&SlotSizes(blocks), &generic, budget, total)
+        .collect()
 }
 
 /// A box over abstract solution domains: a partial map from domain index
@@ -216,18 +226,23 @@ pub fn count_union_generic(
     boxes: &[GenericBox],
     budget: u64,
 ) -> Result<BigNat, CountError> {
+    count_union_impl(&domain_sizes, boxes, budget, domain_product(domain_sizes))
+}
+
+/// `∏ |Sᵢ|`: the number of tuples of `S₀ × ⋯ × S_{n-1}`.
+pub(crate) fn domain_product(domain_sizes: &[usize]) -> BigNat {
     let mut total = BigNat::one();
     for &s in domain_sizes {
         total.mul_assign_u64(s as u64);
     }
-    count_union_impl(&domain_sizes, boxes, budget, total)
+    total
 }
 
 /// Domain-size lookup abstraction: the generic entry point reads a plain
 /// slice, while the selector-box path borrows sizes directly from the
 /// block partition (clamping retired slots to neutral size 1) without
 /// materialising a vector per query.
-trait DomainSizes {
+pub(crate) trait DomainSizes {
     fn count(&self) -> usize;
     fn size(&self, domain: usize) -> usize;
 }
@@ -242,7 +257,7 @@ impl DomainSizes for &[usize] {
     }
 }
 
-struct SlotSizes<'a>(&'a BlockPartition);
+pub(crate) struct SlotSizes<'a>(pub(crate) &'a BlockPartition);
 
 impl DomainSizes for SlotSizes<'_> {
     fn count(&self) -> usize {

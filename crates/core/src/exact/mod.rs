@@ -26,6 +26,7 @@ pub use boxes::{
     count_by_boxes, count_union_generic, count_union_of_boxes, count_union_of_boxes_with_total,
     GenericBox,
 };
+pub(crate) use boxes::{domain_product, slot_boxes, DomainSizes, SlotSizes};
 pub use enumeration::count_by_enumeration;
 
 /// Default budget for exact counters: the maximum number of repairs (for

@@ -3,56 +3,30 @@
 //! Theorem 6.2: every function in `Λ[k]` admits an FPRAS that samples from
 //! the *natural* sample space `U = S₁ × ⋯ × Sₙ`, because a single valid
 //! certificate already witnesses a `1/mᵏ` fraction of `U` (`m` being the
-//! largest domain).  [`compactor_fpras`] implements that scheme for any
-//! bounded [`Compactor`].
+//! largest domain).  [`compactor_fpras`] runs that scheme for any bounded
+//! [`Compactor`].
 //!
 //! Theorem 7.4: functions in SpanLL (unbounded compactors) also admit an
 //! FPRAS, but sampling from the natural space no longer works — the
 //! covered fraction can be exponentially small.  [`compactor_karp_luby`]
-//! implements the estimator over the richer sample space of
+//! runs the estimator over the richer sample space of
 //! (certificate, completion) pairs, which covers both the bounded and the
 //! unbounded case.
+//!
+//! Both are the core crate's estimators, built over the compactor's
+//! domains and output boxes: there is one sampler and one pair of
+//! estimators, and `#CQA` builds the same two over a database's blocks
+//! and certificate boxes.
 
-use cdr_core::{ApproxConfig, ApproxCount, CountError};
-use cdr_num::{BigNat, LogNum};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use cdr_core::{ApproxConfig, ApproxCount, CountError, FprasEstimator, KarpLubyEstimator};
 
-use crate::compactor::{collect_boxes, Compactor, PinBox};
-
-/// Scales the sample-space size by the empirical success fraction
-/// (duplicated from the core crate's internal helper to keep the crates
-/// decoupled).
-fn scale(space: &BigNat, positives: u64, samples: u64) -> (BigNat, LogNum) {
-    if positives == 0 {
-        return (BigNat::zero(), LogNum::zero());
-    }
-    let mut numerator = space.clone();
-    numerator.mul_assign_u64(positives);
-    let (estimate, remainder) = numerator.div_rem_u64(samples);
-    let rounded = if remainder.saturating_mul(2) >= samples {
-        &estimate + &BigNat::one()
-    } else {
-        estimate
-    };
-    let log = LogNum::from_ln(space.ln() + (positives as f64 / samples as f64).ln());
-    (rounded, log)
-}
-
-fn product_of(sizes: &[usize]) -> BigNat {
-    let mut total = BigNat::one();
-    for &s in sizes {
-        total.mul_assign_u64(s as u64);
-    }
-    total
-}
+use crate::compactor::{collect_boxes, Compactor};
 
 /// The Theorem 6.2 FPRAS for a bounded compactor: sample uniform tuples of
 /// `S₁ × ⋯ × Sₙ` and count how many fall into some output box.
 ///
 /// Returns an error when the compactor is unbounded
-/// (`pin_bound() == None`) — use [`compactor_karp_luby`] in that case —
-/// or when a solution domain is empty.
+/// (`pin_bound() == None`) — use [`compactor_karp_luby`] in that case.
 pub fn compactor_fpras(
     compactor: &dyn Compactor,
     config: &ApproxConfig,
@@ -65,128 +39,21 @@ pub fn compactor_fpras(
                 .into(),
         ));
     };
-    let sizes = compactor.domain_sizes();
-    let total = product_of(&sizes);
-    let boxes = collect_boxes(compactor);
-    if boxes.is_empty() || total.is_zero() {
-        return Ok(ApproxCount::exact_value(BigNat::zero(), total));
-    }
-    if boxes.iter().any(PinBox::is_empty) {
-        return Ok(ApproxCount::exact_value(total.clone(), total));
-    }
-    let m = sizes.iter().copied().max().unwrap_or(1).max(1) as f64;
-    let eps = config.epsilon;
-    let t = (2.0 + eps) * m.powf(k as f64) / (eps * eps) * (2.0 / config.delta).ln();
-    let requested = if !t.is_finite() || t >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        t.ceil().max(1.0) as u64
-    };
-    let samples = requested.min(config.max_samples).max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut positives = 0u64;
-    let mut tuple = vec![0usize; sizes.len()];
-    for _ in 0..samples {
-        for (i, &s) in sizes.iter().enumerate() {
-            tuple[i] = rng.gen_range(0..s);
-        }
-        if boxes.iter().any(|b| b.pins().all(|(d, e)| tuple[d] == e)) {
-            positives += 1;
-        }
-    }
-    let (estimate, estimate_log) = scale(&total, positives, samples);
-    Ok(ApproxCount {
-        estimate,
-        estimate_log,
-        covered_fraction: positives as f64 / samples as f64,
-        samples_requested: requested,
-        samples_used: samples,
-        positive_samples: positives,
-        sample_space_size: total,
-        exact: false,
-    })
+    FprasEstimator::over_domains(&compactor.domain_sizes(), collect_boxes(compactor), k)
+        .estimate(config)
 }
 
 /// The Karp–Luby estimator over (box, completion) pairs: works for bounded
 /// and unbounded compactors alike (Theorem 7.4).
+///
+/// Returns an error when some box's relative weight `∏ 1/|S_d|` over its
+/// pinned domains underflows `f64`.
 pub fn compactor_karp_luby(
     compactor: &dyn Compactor,
     config: &ApproxConfig,
 ) -> Result<ApproxCount, CountError> {
-    config.validate()?;
-    let sizes = compactor.domain_sizes();
-    let total = product_of(&sizes);
-    let boxes = collect_boxes(compactor);
-    if boxes.is_empty() || total.is_zero() {
-        return Ok(ApproxCount::exact_value(BigNat::zero(), BigNat::zero()));
-    }
-    if boxes.iter().any(PinBox::is_empty) {
-        return Ok(ApproxCount::exact_value(total.clone(), total));
-    }
-    // Box weights: |box| = ∏ over unpinned domains |S_d|; relative weights
-    // (divided by the full product) stay in (0, 1] and are safe in f64.
-    let mut total_weight = BigNat::zero();
-    let mut relative_weights = Vec::with_capacity(boxes.len());
-    for b in &boxes {
-        let mut size = BigNat::one();
-        let mut rel = 1.0f64;
-        for (d, &s) in sizes.iter().enumerate() {
-            if b.get(d).is_none() {
-                size.mul_assign_u64(s as u64);
-            } else {
-                rel /= s as f64;
-            }
-        }
-        total_weight += size;
-        relative_weights.push(rel);
-    }
-    let eps = config.epsilon;
-    let t = (2.0 + eps) * boxes.len() as f64 / (eps * eps) * (2.0 / config.delta).ln();
-    let requested = if !t.is_finite() || t >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        t.ceil().max(1.0) as u64
-    };
-    let samples = requested.min(config.max_samples).max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let weight_sum: f64 = relative_weights.iter().sum();
-    let mut positives = 0u64;
-    let mut tuple = vec![0usize; sizes.len()];
-    for _ in 0..samples {
-        let mut target = rng.gen_range(0.0..weight_sum);
-        let mut chosen = boxes.len() - 1;
-        for (i, w) in relative_weights.iter().enumerate() {
-            if target < *w {
-                chosen = i;
-                break;
-            }
-            target -= w;
-        }
-        for (d, &s) in sizes.iter().enumerate() {
-            tuple[d] = match boxes[chosen].get(d) {
-                Some(e) => e,
-                None => rng.gen_range(0..s),
-            };
-        }
-        let first = boxes
-            .iter()
-            .position(|b| b.pins().all(|(d, e)| tuple[d] == e))
-            .expect("the chosen box contains its own completion");
-        if first == chosen {
-            positives += 1;
-        }
-    }
-    let (estimate, estimate_log) = scale(&total_weight, positives, samples);
-    Ok(ApproxCount {
-        estimate,
-        estimate_log,
-        covered_fraction: positives as f64 / samples as f64,
-        samples_requested: requested,
-        samples_used: samples,
-        positive_samples: positives,
-        sample_space_size: total_weight,
-        exact: false,
-    })
+    KarpLubyEstimator::over_domains(&compactor.domain_sizes(), collect_boxes(compactor))
+        .estimate(config)
 }
 
 #[cfg(test)]
@@ -260,6 +127,18 @@ mod tests {
         assert!(compactor_fpras(&c, &config).is_err());
         let approx = compactor_karp_luby(&c, &config).unwrap();
         assert_eq!(approx.estimate.to_u64(), Some(1));
+        // A box pinning 1,100 domains of size 2 has relative weight
+        // 2^-1100, which is 0.0 in f64: Karp–Luby cannot draw it with its
+        // probability and must say so instead of sampling.
+        let tiny = ExplicitCompactor::new(
+            vec![2; 1100],
+            vec![CompactOutput::pins((0..1100).map(|d| (d, 0)))],
+            None,
+        );
+        assert!(matches!(
+            compactor_karp_luby(&tiny, &config),
+            Err(CountError::InvalidApproxParameter(_))
+        ));
     }
 
     #[test]
